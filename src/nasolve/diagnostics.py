@@ -47,7 +47,6 @@ class ConvergenceReport:
     status: str
     iterations: int
     x_final: np.ndarray | None = None
-    error_decomposition: np.ndarray | None = None
 
     @property
     def residual_norms(self):

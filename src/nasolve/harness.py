@@ -3,8 +3,8 @@
 Subcommands: ``solve`` (one problem, one configuration), ``sweep`` (vary a
 problem parameter over a grid), ``compare`` (several configurations on one
 problem), and ``verify`` (ad-hoc brute-force oracle checks).  Histories and
-summaries are emitted as plot-ready CSV or JSON with floats printed at 17
-significant digits, so identical experiment specs produce byte-identical
+summaries are emitted as plot-ready CSV or JSON with floats printed as their
+shortest exact repr, so identical experiment specs produce byte-identical
 output.
 
 Exit codes: 0 success, 1 usage error, 2 when every cell of an experiment
@@ -12,6 +12,9 @@ failed to converge.
 """
 
 import argparse
+import csv
+import io
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +24,14 @@ import numpy as np
 
 from . import oracle
 from .problem import PROBLEM_IDS, problem_from_id
-from .solver import ArmijoConfig, SolverConfig, gamma_safeguard, solve
+from .solver import (
+    ACTIVATIONS,
+    METHODS,
+    ArmijoConfig,
+    SolverConfig,
+    _safeguard_case,
+    solve,
+)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -49,12 +59,8 @@ CSV_COLUMNS = (
 
 SUMMARY_COLUMNS = ("param", "config", "status", "iterations", "q_term")
 
-X0_CHOICES = ("zero", "ones", "default", "builtin_default")
-
-
-def _fmt(value):
-    """Float to text at 17 significant digits (exact round trip)."""
-    return format(float(value), ".17g")
+X0_CHOICES = ("zero", "ones", "default")
+X0_USAGE = " | ".join(X0_CHOICES + ("perturbed:IDX:VAL",))
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,7 @@ class ExperimentSpec:
     is an optional (parameter name, start, end, step) grid; each cell is
     cold-started from the same initial iterate unless ``warm_start`` is
     set, in which case cells are warm-started from the previous converged
-    solution (natural continuation).  ``seed`` is reserved for randomized
-    initial-iterate perturbations; the built-in selectors are
-    deterministic, so runs with equal specs are byte-identical.
+    solution (natural continuation).
     """
 
     problem: str
@@ -79,7 +83,6 @@ class ExperimentSpec:
     sweep: tuple | None = None
     fmt: str = "csv"
     output: str = "out"
-    seed: int = 0
     warm_start: bool = False
 
     def __post_init__(self):
@@ -103,10 +106,7 @@ def _parse_x0_selector(selector):
         parts = selector.split(":")
         if len(parts) == 3:
             return "perturbed", int(parts[1]), float(parts[2])
-    raise ValueError(
-        f"bad initial-iterate selector {selector!r}; "
-        "use zero | ones | default | perturbed:IDX:VAL"
-    )
+    raise ValueError(f"bad initial-iterate selector {selector!r}; use {X0_USAGE}")
 
 
 def initial_iterate(problem, selector):
@@ -116,7 +116,7 @@ def initial_iterate(problem, selector):
         return np.zeros(problem.dimension)
     if kind == "ones":
         return np.ones(problem.dimension)
-    if kind in ("default", "builtin_default"):
+    if kind == "default":
         return problem.default_start.copy()
     x0 = problem.default_start.copy()
     if not 0 <= idx < problem.dimension:
@@ -144,8 +144,18 @@ def config_label(cfg):
     return base
 
 
+def _finite(value):
+    """Plain float, or None when missing or non-finite (empty field / null)."""
+    if value is None or not math.isfinite(value):
+        return None
+    return float(value)
+
+
 def history_rows(report):
-    """Per-iteration rows matching CSV_COLUMNS (None for missing values)."""
+    """Per-iteration rows matching CSV_COLUMNS.
+
+    Floats are plain Python floats; missing and non-finite values are None.
+    """
     rows = []
     norms = [rec.step_norm for rec in report.records]
     for i, rec in enumerate(report.records):
@@ -154,21 +164,21 @@ def history_rows(report):
             q = math.log(norms[i]) / math.log(norms[i - 1])
         gamma = rec.gamma
         if isinstance(gamma, np.ndarray):
-            gamma = [float(g) for g in gamma]
-        elif gamma is not None:
-            gamma = float(gamma)
+            gamma = [_finite(g) for g in gamma]
+        else:
+            gamma = _finite(gamma)
         rows.append(
             {
                 "k": rec.k,
-                "residual_norm": rec.residual_norm,
-                "step_norm": rec.step_norm,
+                "residual_norm": _finite(rec.residual_norm),
+                "step_norm": _finite(rec.step_norm),
                 "gamma": gamma,
-                "lambda": rec.lam,
-                "eta": rec.eta,
-                "r_used": rec.r_used,
-                "beta": rec.beta,
-                "theta": rec.theta,
-                "theta_lambda": rec.theta_lambda,
+                "lambda": _finite(rec.lam),
+                "eta": _finite(rec.eta),
+                "r_used": _finite(rec.r_used),
+                "beta": _finite(rec.beta),
+                "theta": _finite(rec.theta),
+                "theta_lambda": _finite(rec.theta_lambda),
                 "decision": rec.decision.case if rec.decision is not None else None,
                 "q": q,
             }
@@ -176,40 +186,31 @@ def history_rows(report):
     return rows
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, list):
-        return ";".join(_fmt(v) for v in value)
-    if not np.isfinite(value):
-        return ""
-    return _fmt(value)
+def _joined(values):
+    return ";".join("" if v is None else repr(v) for v in values)
 
 
-def _json_value(value):
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, list):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    if not np.isfinite(value):
-        return "null"
-    return _fmt(value)
+def _table(rows, columns, fmt):
+    """Serialize rows to CSV or JSON bytes.
 
-
-def _json_object(row, keys):
-    return "{" + ", ".join(f'"{k}": {_json_value(row[k])}' for k in keys) + "}"
+    Each row is a dict holding exactly ``columns`` in order, with plain
+    values and None for missing ones (an empty CSV field, JSON null).  A
+    list value is semicolon-joined in CSV and a JSON array.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        cells = (map(row.__getitem__, columns) for row in rows)
+        writer.writerows(
+            [_joined(v) if type(v) is list else v for v in values] for values in cells
+        )
+        return buf.getvalue().encode()
+    if fmt == "json":
+        if not rows:
+            return b"[]\n"
+        return ("[\n  " + ",\n  ".join(map(json.dumps, rows)) + "\n]\n").encode()
+    raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
 def emit_history(report, fmt="csv"):
@@ -218,17 +219,9 @@ def emit_history(report, fmt="csv"):
     CSV columns follow CSV_COLUMNS in order, with missing values as empty
     fields and the depth-m gamma vector semicolon-joined.  JSON mirrors the
     field names 1:1 (one object per iteration, missing values as null).
-    Floats are printed with 17 significant digits.
+    Floats are printed as their shortest exact repr.
     """
-    rows = history_rows(report)
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows)
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "json":
-        body = ",\n  ".join(_json_object(row, CSV_COLUMNS) for row in rows)
-        return (f"[\n  {body}\n]\n" if rows else "[]\n").encode()
-    raise ValueError(f"format must be csv or json, got {fmt!r}")
+    return _table(history_rows(report), CSV_COLUMNS, fmt)
 
 
 def _sweep_values(sweep):
@@ -237,23 +230,12 @@ def _sweep_values(sweep):
     return name, [start + i * step for i in range(npts)]
 
 
-def _emit_summary(rows, fmt):
-    if fmt == "csv":
-        lines = [",".join(SUMMARY_COLUMNS)]
-        lines.extend(
-            ",".join(_csv_cell(row[c]) for c in SUMMARY_COLUMNS) for row in rows
-        )
-        return ("\n".join(lines) + "\n").encode()
-    body = ",\n  ".join(_json_object(row, SUMMARY_COLUMNS) for row in rows)
-    return (f"[\n  {body}\n]\n" if rows else "[]\n").encode()
-
-
 def run_experiment(spec):
     """Run every (sweep value x config) cell of an experiment.
 
     Writes one history file per cell plus a summary table (status,
     iterations, q_term) under ``spec.output``.  Cells run in a fixed order
-    and all floats are formatted at 17 significant digits, so identical
+    and all floats are printed as their shortest exact repr, so identical
     specs produce byte-identical files.  Per-cell solver failures are
     recorded in the summary, not fatal.
 
@@ -292,11 +274,11 @@ def run_experiment(spec):
                     "config": config_label(cfg),
                     "status": report.status,
                     "iterations": report.iterations,
-                    "q_term": report.q_term,
+                    "q_term": _finite(report.q_term),
                 }
             )
     summary_path = outdir / f"summary.{ext}"
-    summary_path.write_bytes(_emit_summary(summary, ext))
+    summary_path.write_bytes(_table(summary, SUMMARY_COLUMNS, ext))
     written.append(summary_path)
     all_failed = all(row["status"] != "converged" for row in summary)
     return (2 if all_failed else 0), written
@@ -315,17 +297,13 @@ def _add_solver_flags(sub):
         "--method",
         action="append",
         default=[],
-        choices=("newton", "na", "gna", "agna"),
+        choices=METHODS,
         help="solver method (repeatable for sweep/compare)",
     )
     sub.add_argument("--m", type=int, default=1, help="Anderson depth (method na)")
     sub.add_argument("--r", type=float, default=0.5, help="fixed safeguard parameter (gna)")
     sub.add_argument("--rhat", type=float, default=0.5, help="adaptive safeguard cap (agna)")
-    sub.add_argument(
-        "--activation",
-        choices=("always", "preasymptotic", "asymptotic"),
-        default="always",
-    )
+    sub.add_argument("--activation", choices=ACTIVATIONS, default="always")
     sub.add_argument(
         "--threshold",
         type=float,
@@ -346,14 +324,9 @@ def _add_solver_flags(sub):
         metavar="none|armijo[:C1:SHRINK:MAXBT]",
         help="optional Armijo backtracking on the composite step",
     )
-    sub.add_argument(
-        "--x0",
-        default="default",
-        help="initial iterate: zero | ones | default | perturbed:IDX:VAL",
-    )
+    sub.add_argument("--x0", default="default", help=f"initial iterate: {X0_USAGE}")
     sub.add_argument("--output", default="out", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _parse_params(pairs):
@@ -410,63 +383,37 @@ def _parse_sweep(text):
     return parts[0], float(parts[1]), float(parts[2]), float(parts[3])
 
 
-def _spec_from_args(args, sweep=None):
-    return ExperimentSpec(
+def _cmd_experiment(args):
+    """solve, sweep and compare: build the experiment, run it, print the summary."""
+    if args.command == "solve" and len(args.method) > 1:
+        raise ValueError("solve takes a single --method; use compare for several")
+    if args.command == "compare" and not args.method:
+        raise ValueError("compare needs at least one --method")
+    spec = ExperimentSpec(
         problem=args.problem,
         params=_parse_params(args.param),
         configs=_configs_from_args(args),
         x0=args.x0,
-        sweep=sweep,
+        sweep=_parse_sweep(args.sweep) if args.command == "sweep" else None,
         fmt=args.format,
         output=args.output,
-        seed=args.seed,
         warm_start=getattr(args, "warm_start", False),
     )
-
-
-def _print_summary(spec, code, written):
-    summary_path = written[-1]
-    print(summary_path.read_bytes().decode(), end="")
+    code, written = run_experiment(spec)
+    print(written[-1].read_bytes().decode(), end="")
     print(f"wrote {len(written)} file(s) under {spec.output}")
     if code == 2:
         print("no cell converged", file=sys.stderr)
-
-
-def _cmd_solve(args):
-    if len(args.method) > 1:
-        raise ValueError("solve takes a single --method; use compare for several")
-    spec = _spec_from_args(args)
-    code, written = run_experiment(spec)
-    _print_summary(spec, code, written)
-    return code
-
-
-def _cmd_sweep(args):
-    spec = _spec_from_args(args, sweep=_parse_sweep(args.sweep))
-    code, written = run_experiment(spec)
-    _print_summary(spec, code, written)
-    return code
-
-
-def _cmd_compare(args):
-    if not args.method:
-        raise ValueError("compare needs at least one --method")
-    spec = _spec_from_args(args)
-    code, written = run_experiment(spec)
-    _print_summary(spec, code, written)
     return code
 
 
 def _cmd_verify(args):
     if args.check == "safeguard":
         lam_oracle = oracle.safeguard_case_oracle(args.gamma, args.beta)
-        # realize the requested beta through the solver-facing interface
-        w_prev = np.array([1.0, 0.0])
-        w_next = np.array([args.beta / 0.5, 0.0])
-        lam_solver = gamma_safeguard(w_next, w_prev, args.gamma, 0.5).lambda_value
-        print(f"gamma={_fmt(args.gamma)} beta={_fmt(args.beta)}")
-        print(f"solver lambda = {_fmt(lam_solver)}")
-        print(f"oracle lambda = {_fmt(lam_oracle)}")
+        _, lam_solver = _safeguard_case(args.gamma, args.beta)
+        print(f"gamma={args.gamma!r} beta={args.beta!r}")
+        print(f"solver lambda = {lam_solver!r}")
+        print(f"oracle lambda = {lam_oracle!r}")
         return 0 if abs(lam_solver - lam_oracle) <= 1e-14 else 2
     if args.check == "gamma-grid":
         from .solver import anderson_gamma_1
@@ -481,11 +428,11 @@ def _cmd_verify(args):
                 w_next, w_prev, closed - 1.0, closed + 1.0, args.step
             )
             worst = max(worst, abs(closed - gridded))
-        print(f"max |closed form - grid oracle| over {args.trials} trials: {_fmt(worst)}")
+        print(f"max |closed form - grid oracle| over {args.trials} trials: {worst!r}")
         return 0 if worst <= args.step else 2
     # fold
     lam = oracle.fold_sweep(args.n, args.start, args.end, args.step)
-    print(f"last converged lambda: {lam if lam is None else _fmt(lam)}")
+    print(f"last converged lambda: {lam!r}")
     return 0 if lam is not None else 2
 
 
@@ -527,14 +474,6 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -543,7 +482,8 @@ def main(argv=None):
         # argparse exits 2 on usage errors; report those as 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        command = _cmd_verify if args.command == "verify" else _cmd_experiment
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

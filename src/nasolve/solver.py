@@ -50,7 +50,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 METHODS = ("newton", "na", "gna", "agna")
-ACTIVATIONS = ("always", "preasymptotic", "asymptotic")
+ACTIVATIONS = ("always", "asymptotic")
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ class SolverConfig:
     """Method selection and stopping control for ``solve``.
 
     ``activation`` controls when safeguarding applies for gna/agna:
-    ``always`` (synonym ``preasymptotic``) safeguards every mixing step,
-    ``asymptotic`` runs plain NA(1) until the step norm first drops below
-    ``threshold`` and safeguards from then on.  ``switch_to_m1_at`` applies
+    ``always`` safeguards every mixing step, ``asymptotic`` runs plain
+    NA(1) until the step norm first drops below ``threshold`` and
+    safeguards from then on.  ``switch_to_m1_at`` applies
     to method ``na`` only: NA(m) runs until the step norm drops below the
     given value, after which the solve continues as adaptively safeguarded
     depth-1 Newton-Anderson with parameter ``r_hat``.
@@ -280,6 +280,24 @@ def _safeguard_case(gamma, beta):
     return "pass_through", 1.0
 
 
+def _step_ratio(w_next, w_prev, name, r, norm):
+    """Validate the safeguard parameter and return eta = |w_next| / |w_prev|."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {r}")
+    wp = float(norm(np.asarray(w_prev, dtype=float)))
+    if wp <= 0.0:
+        raise ValueError("previous step norm must be positive")
+    return float(norm(np.asarray(w_next, dtype=float))) / wp
+
+
+def _decision(gamma, eta, r_used):
+    beta = r_used * eta
+    case, lam = _safeguard_case(gamma, beta)
+    return SafeguardDecision(
+        case=case, lambda_value=lam, eta=eta, r_used=r_used, beta=beta
+    )
+
+
 def gamma_safeguard(w_next, w_prev, gamma, r, norm=np.linalg.norm):
     """Fixed-parameter safeguard with gate beta = r * |w_next| / |w_prev|.
 
@@ -287,15 +305,7 @@ def gamma_safeguard(w_next, w_prev, gamma, r, norm=np.linalg.norm):
     at least 1; lambda = beta / (gamma * (beta + sign(gamma))) when
     |gamma| / |1 - gamma| exceeds beta; lambda = 1 otherwise.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    wp = float(norm(np.asarray(w_prev, dtype=float)))
-    if wp <= 0.0:
-        raise ValueError("previous step norm must be positive")
-    eta = float(norm(np.asarray(w_next, dtype=float))) / wp
-    beta = r * eta
-    case, lam = _safeguard_case(gamma, beta)
-    return SafeguardDecision(case=case, lambda_value=lam, eta=eta, r_used=r, beta=beta)
+    return _decision(gamma, _step_ratio(w_next, w_prev, "r", r, norm), r)
 
 
 def adaptive_gamma_safeguard(w_next, w_prev, gamma, r_hat, norm=np.linalg.norm):
@@ -305,18 +315,8 @@ def adaptive_gamma_safeguard(w_next, w_prev, gamma, r_hat, norm=np.linalg.norm):
     adapts.  Since r_used <= r_hat this safeguards at least as strictly as
     the fixed scheme at equal eta.
     """
-    if not 0.0 < r_hat < 1.0:
-        raise ValueError(f"r_hat must lie in (0, 1), got {r_hat}")
-    wp = float(norm(np.asarray(w_prev, dtype=float)))
-    if wp <= 0.0:
-        raise ValueError("previous step norm must be positive")
-    eta = float(norm(np.asarray(w_next, dtype=float))) / wp
-    r_used = min(eta, r_hat)
-    beta = r_used * eta
-    case, lam = _safeguard_case(gamma, beta)
-    return SafeguardDecision(
-        case=case, lambda_value=lam, eta=eta, r_used=r_used, beta=beta
-    )
+    eta = _step_ratio(w_next, w_prev, "r_hat", r_hat, norm)
+    return _decision(gamma, eta, min(eta, r_hat))
 
 
 def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks):
@@ -386,24 +386,22 @@ def solve(p, x0, cfg):
     ``diverged``, ``singular_jacobian``, ``max_iter``); only malformed
     inputs raise.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.dimension,):
+    # the one copy of x0: every later iterate and step is a fresh array that
+    # is never mutated, so records share them instead of copying
+    x = np.array(x0, dtype=float)
+    if x.shape != (p.dimension,):
         raise ValueError(
-            f"x0 has shape {x0.shape}, problem dimension is {p.dimension}"
+            f"x0 has shape {x.shape}, problem dimension is {p.dimension}"
         )
     nrm, lt = _make_norm(cfg.norm_weight, p.dimension)
 
-    records = []
-    xs = [x0.copy()]  # iterate history x_0, x_1, ...
-    ws = []           # step history w_1, w_2, ...
-    prev_step_norm = None
+    records = []  # records[j] holds x_j, w_{j+1} and |w_{j+1}|
     # gna/agna safeguard every mixing step unless activation is asymptotic,
     # in which case plain NA(1) runs until the step norm drops below the
     # threshold (latched: all subsequent steps are safeguarded).
     safeguarded = cfg.method in ("gna", "agna") and cfg.activation != "asymptotic"
     m1_switched = False
     status = "max_iter"
-    x = xs[0]
     k = 0
 
     while True:
@@ -447,28 +445,32 @@ def solve(p, x0, cfg):
 
         gamma = lam = r_used = beta = theta = theta_lam = None
         decision = None
-        eta = step_norm / prev_step_norm if prev_step_norm is not None else None
+        prev = records[-1] if records else None
+        eta = step_norm / prev.step_norm if prev is not None else None
 
         if k == 0 or cfg.method == "newton":
             x_next = x + w
         elif cfg.method == "na" and not m1_switched and cfg.m > 1:
-            x_next, gamma, theta = _na_m_update(xs, ws + [w], cfg.m, lt, nrm)
+            window = records[-cfg.m:]
+            iterates = [rec.x for rec in window] + [x]
+            steps = [rec.w for rec in window] + [w]
+            x_next, gamma, theta = _na_m_update(iterates, steps, cfg.m, lt, nrm)
             theta_lam = theta
             decision = SafeguardDecision(case="not_applied", lambda_value=1.0)
         else:
-            gamma = _gamma1(w, ws[-1], lt)
+            gamma = _gamma1(w, prev.w, lt)
             if cfg.method == "gna" and safeguarded:
-                decision = gamma_safeguard(w, ws[-1], gamma, cfg.r, norm=nrm)
+                decision = gamma_safeguard(w, prev.w, gamma, cfg.r, norm=nrm)
             elif (cfg.method == "agna" and safeguarded) or (
                 cfg.method == "na" and m1_switched
             ):
-                decision = adaptive_gamma_safeguard(w, ws[-1], gamma, cfg.r_hat, norm=nrm)
+                decision = adaptive_gamma_safeguard(w, prev.w, gamma, cfg.r_hat, norm=nrm)
             else:
                 decision = SafeguardDecision(case="not_applied", lambda_value=1.0)
             lam_used = decision.lambda_value
-            x_next = na_update(x, xs[-2], w, ws[-1], gamma, lam_used)
-            theta = _gain(w, ws[-1], gamma, step_norm, nrm)
-            theta_lam = _gain(w, ws[-1], lam_used * gamma, step_norm, nrm)
+            x_next = na_update(x, prev.x, w, prev.w, gamma, lam_used)
+            theta = _gain(w, prev.w, gamma, step_norm, nrm)
+            theta_lam = _gain(w, prev.w, lam_used * gamma, step_norm, nrm)
             if decision.case != "not_applied":
                 lam = lam_used
                 r_used = decision.r_used
@@ -488,8 +490,8 @@ def solve(p, x0, cfg):
         records.append(
             IterationRecord(
                 k=k,
-                x=x.copy(),
-                w=w.copy(),
+                x=x,
+                w=w,
                 residual_norm=float(rnorm),
                 step_norm=float(step_norm),
                 gamma=gamma,
@@ -504,9 +506,6 @@ def solve(p, x0, cfg):
                 ls_ok=ls_ok,
             )
         )
-        xs.append(x_next)
-        ws.append(w)
-        prev_step_norm = step_norm
         x = x_next
         k += 1
 
@@ -514,5 +513,5 @@ def solve(p, x0, cfg):
         records=tuple(records),
         status=status,
         iterations=len(records),
-        x_final=np.asarray(x, dtype=float).copy(),
+        x_final=x,
     )

@@ -285,7 +285,6 @@ def test_criterion_10_determinism_and_io(tmp_path):
                 sweep=("c", 0.5, 1.0, 0.25),
                 fmt=fmt,
                 output=str(outdir),
-                seed=42,
             )
 
         for fmt in ("csv", "json"):

@@ -1,0 +1,96 @@
+"""Pinned convergence histories: every experiment must rerun byte-identically.
+
+Each experiment below is rerun through ``run_experiment`` and its files are
+compared byte for byte with the copies under ``tests/golden/<name>/``.  A
+change to any solver number or to the output format shows up here.
+
+After a deliberate format change, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from nasolve import ArmijoConfig, SolverConfig
+from nasolve.harness import ExperimentSpec, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FIVE_METHODS = (
+    SolverConfig(method="newton"),
+    SolverConfig(method="na", m=1),
+    SolverConfig(method="na", m=3),
+    SolverConfig(method="gna", r=0.5),
+    SolverConfig(method="agna", r_hat=0.5),
+)
+CHANDRASEKHAR_C1 = {"c": 1.0, "n": 20}
+
+EXPERIMENTS = {
+    "singular_quadratic": dict(problem="singular_quadratic", configs=FIVE_METHODS),
+    "chandrasekhar": dict(
+        problem="chandrasekhar", params=CHANDRASEKHAR_C1, configs=FIVE_METHODS
+    ),
+    "bratu1d": dict(
+        problem="bratu1d", params={"lambda": 3.0, "n": 20}, configs=FIVE_METHODS
+    ),
+    "agna_asymptotic": dict(
+        problem="chandrasekhar",
+        params=CHANDRASEKHAR_C1,
+        configs=(SolverConfig(method="agna", r_hat=0.5, activation="asymptotic"),),
+    ),
+    "na_m3_switch": dict(
+        problem="chandrasekhar",
+        params=CHANDRASEKHAR_C1,
+        configs=(SolverConfig(method="na", m=3, switch_to_m1_at=1e-3),),
+    ),
+    "bratu_warm_sweep": dict(
+        problem="bratu1d",
+        params={"n": 20},
+        configs=(SolverConfig(method="newton"),),
+        x0="zero",
+        sweep=("lambda", 3.40, 3.52, 0.02),
+        warm_start=True,
+    ),
+    # this start makes the linesearch backtrack (t = 0.5, 0.25)
+    "armijo": dict(
+        problem="bratu1d",
+        params={"lambda": 3.0, "n": 20},
+        configs=(SolverConfig(method="agna", r_hat=0.5, linesearch=ArmijoConfig()),),
+        x0="perturbed:5:5",
+    ),
+    "json": dict(
+        problem="chandrasekhar",
+        params={"n": 20},
+        configs=(SolverConfig(method="na", m=1), SolverConfig(method="agna")),
+        sweep=("c", 0.9, 1.0, 0.05),
+        fmt="json",
+    ),
+}
+
+
+def _run(name, outdir):
+    return run_experiment(ExperimentSpec(output=str(outdir), **EXPERIMENTS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_rerun_matches_golden(name, tmp_path):
+    _, written = _run(name, tmp_path)
+    expected = GOLDEN / name
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in expected.iterdir()
+    )
+    for path in written:
+        assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+
+def regenerate():
+    for name in EXPERIMENTS:
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
+        _run(name, GOLDEN / name)
+
+
+if __name__ == "__main__":
+    regenerate()

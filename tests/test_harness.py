@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from nasolve import SolverConfig, make_chandrasekhar, make_singular_quadratic, solve
+from nasolve import (
+    ConvergenceReport,
+    IterationRecord,
+    SolverConfig,
+    make_chandrasekhar,
+    make_singular_quadratic,
+    solve,
+)
 from nasolve.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -88,6 +95,37 @@ class TestEmitHistory:
         with pytest.raises(ValueError):
             emit_history(newton_report, "yaml")
 
+    def test_non_finite_values_are_missing(self):
+        rec = IterationRecord(
+            k=0,
+            x=np.zeros(2),
+            w=np.ones(2),
+            residual_norm=1.0,
+            step_norm=np.float64(np.inf),
+            gamma=np.array([np.nan, 0.5]),
+            eta=np.float64(np.nan),
+            theta=-np.inf,
+        )
+        report = ConvergenceReport(records=(rec,), status="diverged", iterations=1)
+        line = emit_history(report, "csv").decode().splitlines()[1]
+        cells = dict(zip(CSV_COLUMNS, line.split(",")))
+        assert cells["residual_norm"] == "1.0"
+        assert cells["step_norm"] == cells["eta"] == cells["theta"] == ""
+        assert cells["gamma"] == ";0.5"
+
+        def reject(token):
+            raise AssertionError(f"non-finite JSON token {token}")
+
+        text = emit_history(report, "json").decode()
+        row = json.loads(text, parse_constant=reject)[0]
+        assert row["step_norm"] is row["eta"] is row["theta"] is None
+        assert row["gamma"] == [None, 0.5]
+
+    def test_empty_history(self):
+        report = ConvergenceReport(records=(), status="converged", iterations=0)
+        assert emit_history(report, "json") == b"[]\n"
+        assert emit_history(report, "csv") == (",".join(CSV_COLUMNS) + "\n").encode()
+
 
 class TestInitialIterate:
     def test_selectors(self):
@@ -135,6 +173,30 @@ class TestRunExperiment:
         assert len(files) == 2  # one history block + summary
         assert files[-1].name == "summary.csv"
 
+    @pytest.mark.parametrize(
+        "fmt, history, summary_row",
+        [
+            ("csv", (",".join(CSV_COLUMNS) + "\n").encode(), ",newton,converged,0,"),
+            (
+                "json",
+                b"[]\n",
+                '{"param": null, "config": "newton", "status": "converged", '
+                '"iterations": 0, "q_term": null}',
+            ),
+        ],
+    )
+    def test_empty_history_and_missing_q_term(
+        self, tmp_path, fmt, history, summary_row
+    ):
+        # started at the root: no steps, so no q_term and no sweep parameter
+        spec = ExperimentSpec(
+            problem="singular_quadratic", x0="zero", fmt=fmt, output=str(tmp_path)
+        )
+        code, (hist, summary) = run_experiment(spec)
+        assert code == 0
+        assert hist.read_bytes() == history
+        assert summary.read_text().splitlines()[1].strip() == summary_row
+
     def test_determinism_byte_identical(self, tmp_path):
         def make(outdir):
             return ExperimentSpec(
@@ -147,7 +209,6 @@ class TestRunExperiment:
                 sweep=("c", 0.5, 1.0, 0.25),
                 fmt="json",
                 output=str(outdir),
-                seed=3,
             )
 
         _, files_a = run_experiment(make(tmp_path / "a"))
