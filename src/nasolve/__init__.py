@@ -17,7 +17,7 @@ from .diagnostics import (
     null_space_gamma,
     quasi_restart_count,
 )
-from .linalg import SingularMatrix, least_squares, solve_linear
+from .linalg import SingularMatrix, Tridiagonal, least_squares, solve_linear
 from .problem import (
     PROBLEM_IDS,
     GroundTruth,
@@ -62,6 +62,7 @@ __all__ = [
     "SafeguardDecision",
     "SingularMatrix",
     "SolverConfig",
+    "Tridiagonal",
     "adaptive_gamma_safeguard",
     "anderson_gamma_1",
     "armijo_backtrack",

@@ -1,17 +1,23 @@
-"""Dense linear-algebra kernels used by the nonlinear solvers.
+"""Linear-algebra kernels used by the nonlinear solvers.
 
-Matrices are plain 2-D ``numpy.ndarray`` objects (row-major), vectors are
-1-D arrays.  Both kernels are pure functions over immutable inputs and are
-safe for concurrent use.  Iterative and sparse solvers are out of scope;
-the problems here are desk-scale dense systems.
+``solve_linear`` takes either a dense square matrix (a 2-D
+``numpy.ndarray``, or anything ``np.asarray`` turns into one) or a
+``Tridiagonal`` held as its three bands, and factors each with the LAPACK
+routine for its structure: partial-pivoted LU (``dgetrf``/``dgetrs``,
+O(n^3)) for dense matrices and ``dgtsv`` (O(n)) for tridiagonal ones.  Both
+apply the same singularity test to the pivots.  ``least_squares`` serves the
+small tall mixing problems of Anderson acceleration.  Vectors are 1-D
+arrays; the kernels are pure functions over immutable inputs and are safe
+for concurrent use.  Iterative and sparse solvers are out of scope.
 """
 
-import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-__all__ = ["SingularMatrix", "solve_linear", "least_squares"]
+__all__ = ["SingularMatrix", "Tridiagonal", "solve_linear", "least_squares"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -28,38 +34,90 @@ class SingularMatrix(Exception):
     """
 
 
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """A square tridiagonal matrix of order n >= 2, held as its three bands.
+
+    ``dl`` is the sub-diagonal (``A[i+1, i]``, length n-1), ``d`` the
+    diagonal (length n) and ``du`` the super-diagonal (``A[i, i+1]``,
+    length n-1).  ``np.asarray`` of an instance is the dense matrix, so code
+    that expects an array keeps working; ``solve_linear`` factors the bands
+    directly.  The bands are not copied: callers must not mutate them.
+    """
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+
+    def __post_init__(self):
+        for name in ("dl", "d", "du"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.d.shape[0] if self.d.ndim == 1 else 0
+        if n < 2 or self.dl.shape != (n - 1,) or self.du.shape != (n - 1,):
+            raise ValueError(
+                "expected bands of lengths n-1, n, n-1 with n >= 2, got "
+                f"{self.dl.shape}, {self.d.shape}, {self.du.shape}"
+            )
+
+    @property
+    def shape(self):
+        n = self.d.shape[0]
+        return (n, n)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a Tridiagonal has no dense buffer to share")
+        A = np.diag(self.d) + np.diag(self.du, 1) + np.diag(self.dl, -1)
+        return A if dtype is None else A.astype(dtype, copy=False)
+
+
+def _check_pivots(pivots, info, scale):
+    """Raise SingularMatrix on a zero pivot or one below ``eps * scale``."""
+    smallest = float(np.abs(pivots).min())
+    if info > 0 or smallest < _EPS * scale:
+        raise SingularMatrix(
+            f"pivot {smallest:.3e} below eps*max|A| = {_EPS * scale:.3e}"
+        )
+
+
 def solve_linear(A, b):
     """Solve the square system ``A x = b`` via partial-pivoted LU.
+
+    A ``Tridiagonal`` ``A`` is solved with LAPACK ``dgtsv``; anything else is
+    taken as a dense matrix and solved with ``dgetrf``/``dgetrs``, the
+    routines behind ``scipy.linalg.lu_factor``/``lu_solve``, whose results
+    it reproduces bitwise.
 
     Raises
     ------
     SingularMatrix
-        When the smallest pivot magnitude of the factorization is below
+        When a pivot of the factorization is zero or its magnitude is below
         ``eps * max|A|`` (the matrix is numerically singular).
     ValueError
         On non-square ``A``, shape mismatch, or non-finite entries.
     """
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if isinstance(A, Tridiagonal):
+        entries = np.concatenate((A.dl, A.d, A.du))
+    else:
+        A = entries = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if b.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+    # max|A| scales the pivot test; a NaN or inf entry makes it non-finite
+    scale = float(np.abs(entries).max(initial=0.0))
+    if not np.isfinite(scale) or not np.isfinite(b).all():
         raise ValueError("matrix or rhs contains non-finite entries")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the check below covers that case
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    smallest = float(np.min(np.abs(np.diag(lu))))
-    if smallest < _EPS * scale:
-        raise SingularMatrix(
-            f"pivot {smallest:.3e} below eps*max|A| = {_EPS * scale:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if isinstance(A, Tridiagonal):
+        _, u_diag, _, x, info = lapack.dgtsv(A.dl, A.d, A.du, b)
+        _check_pivots(u_diag, info, scale)
+        return x
+    lu, piv, info = lapack.dgetrf(A)
+    _check_pivots(lu.diagonal(), info, scale)
+    return lapack.dgetrs(lu, piv, b)[0]
 
 
 def least_squares(F, b):

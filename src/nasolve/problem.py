@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import Tridiagonal
+
 __all__ = [
     "GroundTruth",
     "NonlinearProblem",
@@ -59,8 +61,10 @@ class NonlinearProblem:
     """A square nonlinear system with residual and Jacobian callables.
 
     ``residual`` and ``jacobian`` accept any x of length ``dimension`` and
-    return a length-n vector and an n-by-n matrix respectively.  If
-    ``jacobian`` is None a forward-difference fallback with step
+    return a length-n vector and an n-by-n matrix respectively.  The matrix
+    is either dense (a 2-D array) or a ``linalg.Tridiagonal``, which the
+    solver factors in O(n) and ``np.asarray`` turns into the dense matrix.
+    If ``jacobian`` is None a dense forward-difference fallback with step
     ``sqrt(eps) * (1 + ||x||)`` is installed; the built-in problems all
     supply analytic Jacobians.
 
@@ -71,7 +75,7 @@ class NonlinearProblem:
     name: str
     dimension: int
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None
+    jacobian: Callable[[np.ndarray], np.ndarray | Tridiagonal] | None
     default_start: np.ndarray
     metadata: GroundTruth | None = None
 
@@ -201,9 +205,10 @@ def make_bratu_1d(lam, n):
     """1-D Bratu problem u'' + lambda*exp(u) = 0 on n interior grid points.
 
     Three-point Laplacian with mesh width h = 1/(n+1) and homogeneous
-    Dirichlet boundary values.  For lambda = 0 the root is the zero vector;
-    the lower branch folds near lambda ~ 3.5138.  Default initial iterate:
-    the zero vector.
+    Dirichlet boundary values, so the Jacobian is returned as a
+    ``Tridiagonal``.  For lambda = 0 the root is the zero vector; the lower
+    branch folds near lambda ~ 3.5138.  Default initial iterate: the zero
+    vector.
     """
     lam = float(lam)
     n = int(n)
@@ -212,6 +217,9 @@ def make_bratu_1d(lam, n):
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     h2 = (1.0 / (n + 1)) ** 2
+    # shared by every Jacobian as both off-diagonal bands, so kept read-only
+    off = np.full(n - 1, 1.0 / h2)
+    off.flags.writeable = False
 
     def residual(u):
         u = np.asarray(u, dtype=float)
@@ -222,12 +230,7 @@ def make_bratu_1d(lam, n):
 
     def jacobian(u):
         u = np.asarray(u, dtype=float)
-        off = np.full(n - 1, 1.0 / h2)
-        return (
-            np.diag(-2.0 / h2 + lam * np.exp(u))
-            + np.diag(off, 1)
-            + np.diag(off, -1)
-        )
+        return Tridiagonal(off, -2.0 / h2 + lam * np.exp(u), off)
 
     truth = GroundTruth(
         is_singular=False,

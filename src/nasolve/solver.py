@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import ConvergenceReport
-from .linalg import SingularMatrix, least_squares, solve_linear
+from .linalg import SingularMatrix, Tridiagonal, least_squares, solve_linear
 
 __all__ = [
     "METHODS",
@@ -191,8 +191,7 @@ def newton_step(p, x):
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(p.residual(x), dtype=float)
-    J = np.asarray(p.jacobian(x), dtype=float)
-    w = solve_linear(J, -f)
+    w = solve_linear(p.jacobian(x), -f)
     return w, float(np.linalg.norm(f))
 
 
@@ -319,20 +318,23 @@ def adaptive_gamma_safeguard(w_next, w_prev, gamma, r_hat, norm=np.linalg.norm):
     return _decision(gamma, eta, min(eta, r_hat))
 
 
-def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks):
+def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fx=None):
     """Backtracking linesearch on 0.5*|f|^2 along ``direction``.
 
     Tries t = 1, shrink, shrink^2, ... (at most ``max_backtracks`` trials)
     and returns ``(t, accepted)`` for the first t satisfying
     0.5*|f(x + t d)|^2 <= 0.5*|f(x)|^2 - c1 * t * |f(x)|^2.  When no trial
     is accepted the last trial t is returned with ``accepted = False`` so
-    the caller can flag the record.
+    the caller can flag the record.  ``fx`` is f(x) when the caller already
+    holds it; otherwise it is evaluated here.
     """
     d = np.asarray(direction, dtype=float)
     if not np.all(np.isfinite(d)) or not np.any(d):
         raise ValueError("direction must be finite and nonzero")
     x = np.asarray(x, dtype=float)
-    fn2 = float(np.linalg.norm(p.residual(x))) ** 2
+    if fx is None:
+        fx = p.residual(x)
+    fn2 = float(np.linalg.norm(fx)) ** 2
     t = 1.0
     last = t
     for _ in range(max_backtracks):
@@ -418,8 +420,9 @@ def solve(p, x0, cfg):
             status = "max_iter"
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            J = np.asarray(p.jacobian(x), dtype=float)
-        if not np.all(np.isfinite(J)):
+            J = p.jacobian(x)
+        entries = (J.dl, J.d, J.du) if isinstance(J, Tridiagonal) else (J,)
+        if not all(np.isfinite(a).all() for a in entries):
             status = "diverged"
             break
         try:
@@ -480,10 +483,11 @@ def solve(p, x0, cfg):
         ls_ok = True
         if cfg.linesearch is not None:
             d = x_next - x
-            if np.any(d):
+            # a non-finite step is left to the divergence test at the loop top
+            if np.any(d) and np.all(np.isfinite(d)):
                 ls = cfg.linesearch
                 ls_t, ls_ok = armijo_backtrack(
-                    p, x, d, ls.c1, ls.shrink, ls.max_backtracks
+                    p, x, d, ls.c1, ls.shrink, ls.max_backtracks, f
                 )
                 x_next = x + ls_t * d
 

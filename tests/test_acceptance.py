@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.
 """
 
+import csv
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -272,7 +274,7 @@ def test_criterion_9_fold_localization():
 
 
 def test_criterion_10_determinism_and_io(tmp_path):
-    desc = "byte-identical reruns and exact 17-digit float round trips"
+    desc = "byte-identical reruns and shortest exact repr float round trips"
     with criterion(10, desc):
         def spec_for(outdir, fmt):
             return ExperimentSpec(
@@ -296,9 +298,11 @@ def test_criterion_10_determinism_and_io(tmp_path):
 
         p = make_chandrasekhar(1.0, 50)
         report = solve(p, p.default_start, SolverConfig(method="agna", r_hat=0.5))
-        rows = json.loads(emit_history(report, "json").decode())
-        assert len(rows) == report.iterations
-        for row, rec in zip(rows, report.records):
+        csv_rows = list(csv.DictReader(io.StringIO(emit_history(report, "csv").decode())))
+        # parse_float=str keeps the text of every JSON float field
+        json_rows = json.loads(emit_history(report, "json").decode(), parse_float=str)
+        assert len(csv_rows) == len(json_rows) == report.iterations
+        for csv_row, json_row, rec in zip(csv_rows, json_rows, report.records):
             for key, value in (
                 ("residual_norm", rec.residual_norm),
                 ("step_norm", rec.step_norm),
@@ -310,5 +314,6 @@ def test_criterion_10_determinism_and_io(tmp_path):
                 ("theta_lambda", rec.theta_lambda),
             ):
                 if value is not None:
-                    assert row[key] == value
-                    assert float(format(value, ".17g")) == value
+                    for text in (csv_row[key], json_row[key]):
+                        assert text == repr(float(value))
+                        assert float(text) == value

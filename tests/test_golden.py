@@ -4,12 +4,15 @@ Each experiment below is rerun through ``run_experiment`` and its files are
 compared byte for byte with the copies under ``tests/golden/<name>/``.  A
 change to any solver number or to the output format shows up here.
 
-After a deliberate format change, regenerate the files with
+After a deliberate format or numerical change, regenerate the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
+
+which rewrites the named experiments, or all of them when no name is given.
 """
 
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,11 +89,14 @@ def test_rerun_matches_golden(name, tmp_path):
         assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
 
 
-def regenerate():
-    for name in EXPERIMENTS:
+def regenerate(names=()):
+    unknown = sorted(set(names) - set(EXPERIMENTS))
+    if unknown:
+        raise SystemExit(f"unknown experiments {unknown}; choose from {sorted(EXPERIMENTS)}")
+    for name in names or EXPERIMENTS:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         _run(name, GOLDEN / name)
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

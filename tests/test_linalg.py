@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nasolve import SingularMatrix, least_squares, solve_linear
+from nasolve import SingularMatrix, Tridiagonal, least_squares, solve_linear
 
 
 class TestSolveLinear:
@@ -33,6 +37,29 @@ class TestSolveLinear:
             solve_linear(np.eye(2), np.ones(3))
         with pytest.raises(ValueError):
             solve_linear(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_linear(np.eye(2), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 1000])
+    def test_bitwise_equal_to_lu_factor_lu_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            A = rng.standard_normal((n, n))
+            b = rng.standard_normal(n)
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+            x = solve_linear(A, b)
+            assert x.tobytes() == ref.tobytes()
+
+    def test_inputs_not_modified(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((4, 4))
+        b = rng.standard_normal(4)
+        A0, b0 = A.copy(), b.copy()
+        solve_linear(A, b)
+        np.testing.assert_array_equal(A, A0)
+        np.testing.assert_array_equal(b, b0)
 
     def test_lu_round_trip_well_conditioned(self):
         rng = np.random.default_rng(0)
@@ -51,6 +78,113 @@ class TestSolveLinear:
             np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
         )
         assert rel <= 1e-12
+
+
+def unit_floats(size):
+    return arrays(np.float64, size, elements=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """A well-conditioned Tridiagonal and a rhs.
+
+    Diagonally dominant bands factor without row interchanges.  The other
+    kind is nearly block diagonal in 2x2 blocks [[a, b], [c, e]] with
+    |a|, |e| <= 0.5 < 1 <= |b|, |c| (|det| >= 0.75), coupled by entries of
+    at most 0.05, so every block's first column needs a row interchange.
+    """
+    n = draw(st.integers(2, 40))
+    dl, d, du, b = (draw(unit_floats(size)) for size in (n - 1, n, n - 1, n))
+    if draw(st.booleans()):
+        d = np.copysign(2.5 + np.abs(d), d)
+    else:
+        in_block = np.arange(n - 1) % 2 == 0
+        dl = np.where(in_block, np.copysign(1.0 + np.abs(dl), dl), 0.05 * dl)
+        du = np.where(in_block, np.copysign(1.0 + np.abs(du), du), 0.05 * du)
+        d = 0.5 * d
+        if n % 2:
+            d[-1] = 2.0 + abs(d[-1])
+    return Tridiagonal(dl, d, du), b
+
+
+class TestTridiagonal:
+    def test_dense_form_matches_diag_construction(self):
+        rng = np.random.default_rng(7)
+        dl, d, du = rng.standard_normal(4), rng.standard_normal(5), rng.standard_normal(4)
+        T = Tridiagonal(dl, d, du)
+        expected = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+        np.testing.assert_array_equal(np.asarray(T), expected)
+        assert T.shape == (5, 5)
+        assert np.asarray(T, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError):
+            np.array(T, copy=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tridiagonal_systems())
+    def test_matches_dense_solve(self, system):
+        T, b = system
+        x = solve_linear(T, b)
+        ref = solve_linear(np.asarray(T), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+    def test_bands_not_modified(self):
+        rng = np.random.default_rng(8)
+        bands = [rng.standard_normal(9), 4.0 + rng.random(10), rng.standard_normal(9)]
+        b = rng.standard_normal(10)
+        saved = [a.copy() for a in bands] + [b.copy()]
+        solve_linear(Tridiagonal(*bands), b)
+        for a, a0 in zip(bands + [b], saved):
+            np.testing.assert_array_equal(a, a0)
+
+    def test_zero_pivot_raises(self):
+        T = Tridiagonal([0.0], [0.0, 1.0], [0.0])
+        with pytest.raises(SingularMatrix):
+            solve_linear(T, np.ones(2))
+
+    def test_zero_pivot_after_elimination_raises(self):
+        # [[1, 1], [1, 1]]: the second pivot cancels to exactly zero
+        with pytest.raises(SingularMatrix):
+            solve_linear(Tridiagonal([1.0], [1.0, 1.0], [1.0]), np.ones(2))
+
+    def test_tiny_pivot_raises(self):
+        T = Tridiagonal([0.0], [1e-40, 1.0], [0.0])
+        with pytest.raises(SingularMatrix):
+            solve_linear(T, np.ones(2))
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(SingularMatrix):
+            solve_linear(Tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2)), np.ones(3))
+
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_band_raises(self, band, bad):
+        bands = [np.ones(2), 4.0 * np.ones(3), np.ones(2)]
+        bands[band][0] = bad
+        with pytest.raises(ValueError):
+            solve_linear(Tridiagonal(*bands), np.ones(3))
+
+    def test_non_finite_rhs_raises(self):
+        T = Tridiagonal(np.ones(2), 4.0 * np.ones(3), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_linear(T, np.array([1.0, np.inf, 1.0]))
+
+    def test_rhs_shape_mismatch_raises(self):
+        T = Tridiagonal(np.ones(2), 4.0 * np.ones(3), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_linear(T, np.ones(4))
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            (np.ones(2), np.ones(2), np.ones(2)),
+            (np.ones(1), np.ones(3), np.ones(2)),
+            (np.ones(0), np.ones(1), np.ones(0)),
+            (np.ones(2), np.ones((3, 1)), np.ones(2)),
+        ],
+    )
+    def test_band_shape_mismatch_raises(self, bands):
+        with pytest.raises(ValueError):
+            Tridiagonal(*bands)
 
 
 class TestLeastSquares:

@@ -6,6 +6,7 @@ import pytest
 from nasolve import (
     NonlinearProblem,
     SolverConfig,
+    Tridiagonal,
     check_jacobian,
     make_bratu_1d,
     make_chandrasekhar,
@@ -104,6 +105,18 @@ class TestBratu1d:
         p = make_bratu_1d(0.0, 20)
         np.testing.assert_array_equal(p.residual(np.zeros(20)), np.zeros(20))
         np.testing.assert_array_equal(p.metadata.root, np.zeros(20))
+
+    def test_jacobian_is_tridiagonal_three_point_stencil(self):
+        n, lam = 6, 2.0
+        u = np.linspace(-0.5, 0.5, n)
+        J = make_bratu_1d(lam, n).jacobian(u)
+        assert isinstance(J, Tridiagonal)
+        h2 = (1.0 / (n + 1)) ** 2
+        off = np.full(n - 1, 1.0 / h2)
+        expected = (
+            np.diag(-2.0 / h2 + lam * np.exp(u)) + np.diag(off, 1) + np.diag(off, -1)
+        )
+        np.testing.assert_array_equal(np.asarray(J), expected)
 
     def test_far_from_fold_newton_terminal_order(self):
         p = make_bratu_1d(1.0, 100)

@@ -8,6 +8,7 @@ from nasolve import (
     NonlinearProblem,
     SafeguardDecision,
     SolverConfig,
+    Tridiagonal,
     adaptive_gamma_safeguard,
     anderson_gamma_1,
     armijo_backtrack,
@@ -233,6 +234,28 @@ class TestArmijoBacktrack:
         t, ok = armijo_backtrack(p, x, d, c1=1e-4, shrink=0.5, max_backtracks=30)
         assert ok and t == 1.0
 
+    def test_given_residual_is_not_reevaluated(self):
+        points = []
+
+        def residual(x):
+            points.append(float(x[0]))
+            return np.array([x[0] ** 2])
+
+        p = NonlinearProblem(
+            name="square",
+            dimension=1,
+            residual=residual,
+            jacobian=lambda x: np.array([[2.0 * x[0]]]),
+            default_start=np.ones(1),
+        )
+        x, d = np.array([1.0]), np.array([10.0])
+        fresh = armijo_backtrack(p, x, d, 1e-4, 0.5, 3)
+        assert points == [1.0, 11.0, 6.0, 3.5]
+        points.clear()
+        given = armijo_backtrack(p, x, d, 1e-4, 0.5, 3, np.array([1.0]))
+        assert given == fresh
+        assert points == [11.0, 6.0, 3.5]  # trial points only
+
     def test_zero_direction_rejected(self):
         p = make_singular_quadratic()
         with pytest.raises(ValueError):
@@ -404,6 +427,34 @@ class TestSolve:
         p = make_bratu_1d(1.0, 10)
         report = solve(p, 800.0 * np.ones(10), SolverConfig(method="newton"))
         assert report.status == "diverged"
+
+    @pytest.mark.parametrize("linesearch", [None, ArmijoConfig()])
+    def test_diverged_on_overflowing_step(self, linesearch):
+        # the Newton step -1e150 / 1e-200 overflows to -inf
+        p = NonlinearProblem(
+            name="overflow",
+            dimension=1,
+            residual=lambda x: np.array([1e150]),
+            jacobian=lambda x: np.array([[1e-200]]),
+            default_start=np.zeros(1),
+        )
+        cfg = SolverConfig(divergence_cap=1e300, linesearch=linesearch)
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "diverged"
+        assert report.iterations == 1
+        assert report.records[0].ls_t is None
+
+    def test_diverged_on_non_finite_tridiagonal_jacobian(self):
+        p = NonlinearProblem(
+            name="tridiagonal",
+            dimension=3,
+            residual=lambda x: x - 1.0,
+            jacobian=lambda x: Tridiagonal(np.ones(2), [np.nan, 1.0, 1.0], np.ones(2)),
+            default_start=np.zeros(3),
+        )
+        report = solve(p, p.default_start, SolverConfig())
+        assert report.status == "diverged"
+        assert report.iterations == 0
 
     def test_diverged_on_cap(self):
         p = make_bratu_1d(1.0, 10)
