@@ -6,18 +6,21 @@
 routine for its structure: partial-pivoted LU (``dgetrf``/``dgetrs``,
 O(n^3)) for dense matrices and ``dgtsv`` (O(n)) for tridiagonal ones.  Both
 apply the same singularity test to the pivots.  ``least_squares`` serves the
-small tall mixing problems of Anderson acceleration.  Vectors are 1-D
+small tall mixing problems of Anderson acceleration.  Both call LAPACK
+directly and raise ``NonFiniteInput`` on a NaN or inf entry.  Vectors are 1-D
 arrays; the kernels are pure functions over immutable inputs and are safe
 for concurrent use.  Iterative and sparse solvers are out of scope.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
-__all__ = ["SingularMatrix", "Tridiagonal", "solve_linear", "least_squares"]
+__all__ = [
+    "NonFiniteInput", "SingularMatrix", "Tridiagonal", "solve_linear", "least_squares"
+]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -32,6 +35,10 @@ class SingularMatrix(Exception):
     In the solver loop this signals that the Jacobian is numerically
     singular at the current iterate.
     """
+
+
+class NonFiniteInput(ValueError):
+    """A matrix or right-hand side holds a NaN or inf entry."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +100,10 @@ def solve_linear(A, b):
     SingularMatrix
         When a pivot of the factorization is zero or its magnitude is below
         ``eps * max|A|`` (the matrix is numerically singular).
+    NonFiniteInput
+        On a NaN or inf entry in ``A`` or ``b``.
     ValueError
-        On non-square ``A``, shape mismatch, or non-finite entries.
+        On non-square ``A`` or shape mismatch.
     """
     b = np.asarray(b, dtype=float)
     if isinstance(A, Tridiagonal):
@@ -107,8 +116,8 @@ def solve_linear(A, b):
         raise ValueError(f"rhs shape {b.shape} does not match matrix shape {A.shape}")
     # max|A| scales the pivot test; a NaN or inf entry makes it non-finite
     scale = float(np.abs(entries).max(initial=0.0))
-    if not np.isfinite(scale) or not np.isfinite(b).all():
-        raise ValueError("matrix or rhs contains non-finite entries")
+    if not math.isfinite(scale) or not np.isfinite(b).all():
+        raise NonFiniteInput("matrix or rhs contains non-finite entries")
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
     if isinstance(A, Tridiagonal):
@@ -125,7 +134,10 @@ def least_squares(F, b):
 
     Uses QR with column pivoting.  Rank deficiency is handled, not raised:
     pivot columns with ``|R_ii| <= 1e-12 * |R11|`` are truncated and their
-    coefficients set to zero.
+    coefficients set to zero.  Below LAPACK's block size (32 columns) the
+    direct ``dgeqp3``/``dorgqr``/``dtrtrs`` calls reproduce ``scipy.linalg.qr(F,
+    mode="economic", pivoting=True)`` and ``solve_triangular`` bitwise.  A NaN
+    or inf entry raises ``NonFiniteInput``, a shape mismatch ``ValueError``.
     """
     F = np.asarray(F, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -136,15 +148,20 @@ def least_squares(F, b):
         raise ValueError(f"need n >= m >= 1 columns, got shape {F.shape}")
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix shape {F.shape}")
-    Q, R, perm = scipy.linalg.qr(F, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    if not (np.isfinite(F).all() and np.isfinite(b).all()):
+        raise NonFiniteInput("matrix or rhs contains non-finite entries")
+    qr, perm, tau, _, _ = lapack.dgeqp3(F)
+    diag = np.abs(qr.diagonal())
     rank = 0
-    if diag.size and diag[0] > 0.0:
+    if diag[0] > 0.0:
         tol = _RANK_TOL * diag[0]
         while rank < m and diag[rank] > tol:
             rank += 1
     g = np.zeros(m)
     if rank:
-        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ b)
-        g[perm[:rank]] = y
+        Q = lapack.dorgqr(qr, tau)[0]
+        # R x = Q^T b as scipy solves a C-ordered R: the transposed lower
+        # system, whose summation order differs from the upper one
+        y = lapack.dtrtrs(qr[:rank, :rank].T, Q[:, :rank].T @ b, lower=1, trans=1)[0]
+        g[perm[:rank] - 1] = y
     return g

@@ -188,7 +188,12 @@ def make_chandrasekhar(c, n):
     def jacobian(H):
         H = np.asarray(H, dtype=float)
         d = 1.0 / (1.0 - A @ H)
-        return np.eye(n) - (d * d)[:, None] * A
+        # np.eye(n) - (d * d)[:, None] * A in one buffer; equal entries, and
+        # bitwise so unless a product underflows to 0 (its negation is -0.0)
+        J = (d * d)[:, None] * A
+        np.negative(J, out=J)
+        J.flat[:: n + 1] += 1.0
+        return J
 
     truth = GroundTruth(is_singular=(c == 1.0), parameter=("c", c))
     return NonlinearProblem(

@@ -23,12 +23,13 @@ A solve is strictly sequential; solver state is confined to one run, so
 multiple solves over shared (immutable) problems may run concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import ConvergenceReport
-from .linalg import SingularMatrix, Tridiagonal, least_squares, solve_linear
+from .linalg import NonFiniteInput, SingularMatrix, least_squares, solve_linear
 
 __all__ = [
     "METHODS",
@@ -156,6 +157,9 @@ class SafeguardDecision:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lambda_value}")
 
 
+_NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
@@ -204,11 +208,14 @@ def anderson_gamma_1(w_next, w_prev):
     """
     w_next = np.asarray(w_next, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
-    d = w_next - w_prev
+    scale = float(np.linalg.norm(w_next)) + float(np.linalg.norm(w_prev))
+    return _mixing_coefficient(w_next, w_next - w_prev, scale)
+
+
+def _mixing_coefficient(w_next, d, scale):
+    """``anderson_gamma_1`` given d = w_next - w_prev, scale = |w_next| + |w_prev|."""
     dd = float(d @ d)
-    if np.sqrt(dd) <= _EPS * (
-        float(np.linalg.norm(w_next)) + float(np.linalg.norm(w_prev))
-    ):
+    if math.sqrt(dd) <= _EPS * scale:
         return 0.0
     return float((d @ w_next) / dd)
 
@@ -244,7 +251,8 @@ def na_m_update(iterates, steps, m):
     return _na_m_update(iterates, steps, m, None, np.linalg.norm)
 
 
-def _na_m_update(iterates, steps, m, lt, nrm):
+def _na_m_update(iterates, steps, m, lt, nrm, wn=None):
+    """``na_m_update`` in the norm ``nrm`` = |lt @ .|, given wn = nrm(w_{k+1})."""
     if m < 1:
         raise ValueError("depth m must be a positive integer")
     if len(steps) < 2 or len(iterates) < 2:
@@ -261,7 +269,8 @@ def _na_m_update(iterates, steps, m, lt, nrm):
         gamma = least_squares(F, w_next)
     else:
         gamma = least_squares(lt @ F, lt @ w_next)
-    wn = nrm(w_next)
+    if wn is None:
+        wn = nrm(w_next)
     theta = float(nrm(w_next - F @ gamma) / wn) if wn > 0.0 else 0.0
     x_next = np.asarray(iterates[-1], dtype=float) + w_next - (E + F) @ gamma
     return x_next, gamma, theta
@@ -334,24 +343,38 @@ def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fx=None):
     x = np.asarray(x, dtype=float)
     if fx is None:
         fx = p.residual(x)
-    fn2 = float(np.linalg.norm(fx)) ** 2
+    fn = float(np.linalg.norm(fx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _backtrack(p, x, d, c1, shrink, max_backtracks, fn)[:2]
+
+
+def _backtrack(p, x, d, c1, shrink, max_backtracks, fn):
+    """``armijo_backtrack`` given fn = |f(x)|; also returns the last trial
+    point and its residual, so the caller need not evaluate them again."""
+    fn2 = fn**2
     t = 1.0
-    last = t
-    for _ in range(max_backtracks):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ft = np.asarray(p.residual(x + t * d), dtype=float)
-        trial = float(ft @ ft) if np.all(np.isfinite(ft)) else np.inf
-        if 0.5 * trial <= 0.5 * fn2 - c1 * t * fn2:
-            return t, True
-        last = t
-        t *= shrink
-    return last, False
+    xt = ft = None
+    for i in range(max_backtracks):
+        if i:
+            t *= shrink
+        xt = x + t * d
+        ft = np.asarray(p.residual(xt), dtype=float)
+        # a non-finite ft gives an inf or NaN ft @ ft, which fails the test
+        if 0.5 * float(ft @ ft) <= 0.5 * fn2 - c1 * t * fn2:
+            return t, True, xt, ft
+    return t, False, xt, ft
+
+
+def _norm(v):
+    """Euclidean norm of a C-contiguous 1-D array, bitwise equal to
+    ``np.linalg.norm`` (which also takes the square root of ``v.dot(v)``)."""
+    return math.sqrt(v.dot(v))
 
 
 def _make_norm(weight, dimension):
     """Norm callable and the transform whose Euclidean norm realizes it."""
     if weight is None:
-        return np.linalg.norm, None
+        return _norm, None
     W = np.asarray(weight, dtype=float)
     if W.shape != (dimension, dimension):
         raise ValueError(f"norm weight must be {dimension}x{dimension}")
@@ -363,19 +386,9 @@ def _make_norm(weight, dimension):
         raise ValueError("norm weight must be positive definite") from exc
 
     def nrm(v):
-        return float(np.linalg.norm(lt @ v))
+        return _norm(lt @ v)
 
     return nrm, lt
-
-
-def _gamma1(w_next, w_prev, lt):
-    if lt is None:
-        return anderson_gamma_1(w_next, w_prev)
-    return anderson_gamma_1(lt @ w_next, lt @ w_prev)
-
-
-def _gain(w_next, w_prev, coef, step_norm, nrm):
-    return float(nrm(w_next - coef * (w_next - w_prev)) / step_norm)
 
 
 def solve(p, x0, cfg):
@@ -403,115 +416,123 @@ def solve(p, x0, cfg):
     # threshold (latched: all subsequent steps are safeguarded).
     safeguarded = cfg.method in ("gna", "agna") and cfg.activation != "asymptotic"
     m1_switched = False
-    status = "max_iter"
     k = 0
+    f = None  # f(x), unless still to be evaluated
 
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = np.asarray(p.residual(x), dtype=float)
-        rnorm = nrm(f) if np.all(np.isfinite(f)) else np.inf
-        if not np.all(np.isfinite(x)) or not np.isfinite(rnorm) or rnorm >= cfg.divergence_cap:
-            status = "diverged"
-            break
-        if rnorm <= cfg.tol:
-            status = "converged"
-            break
-        if k >= cfg.max_iter:
-            status = "max_iter"
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            J = p.jacobian(x)
-        entries = (J.dl, J.d, J.du) if isinstance(J, Tridiagonal) else (J,)
-        if not all(np.isfinite(a).all() for a in entries):
-            status = "diverged"
-            break
-        try:
-            w = solve_linear(J, -f)
-        except SingularMatrix:
-            status = "singular_jacobian"
-            break
-        step_norm = nrm(w)
-        if step_norm == 0.0:
-            # zero step with nonzero residual: solved to machine level
-            status = "converged"
-            break
+    # A diverging iterate overflows; the non-finite values that result end
+    # the solve through its tests, so the warnings are not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            # C order: _norm equals np.linalg.norm only on contiguous arrays
+            f = np.asarray(p.residual(x) if f is None else f, dtype=float, order="C")
+            # the norm is non-finite exactly when f is (or |f| overflows)
+            rnorm = nrm(f)
+            if not (np.isfinite(x).all() and rnorm < cfg.divergence_cap):
+                status = "diverged"
+                break
+            if rnorm <= cfg.tol:
+                status = "converged"
+                break
+            if k >= cfg.max_iter:
+                status = "max_iter"
+                break
+            try:
+                w = solve_linear(p.jacobian(x), -f)
+            except SingularMatrix:
+                status = "singular_jacobian"
+                break
+            except NonFiniteInput:
+                # the rhs -f is finite here, so the Jacobian is not
+                status = "diverged"
+                break
+            step_norm = nrm(w)
+            if step_norm == 0.0:
+                # zero step with nonzero residual: solved to machine level
+                status = "converged"
+                break
 
-        if not safeguarded and cfg.method in ("gna", "agna") and step_norm < cfg.threshold:
-            safeguarded = True
-        if (
-            cfg.method == "na"
-            and cfg.switch_to_m1_at is not None
-            and not m1_switched
-            and step_norm < cfg.switch_to_m1_at
-        ):
-            m1_switched = True
+            if cfg.method in ("gna", "agna") and step_norm < cfg.threshold:
+                safeguarded = True
+            # only method "na" takes switch_to_m1_at (SolverConfig checks)
+            if cfg.switch_to_m1_at is not None and step_norm < cfg.switch_to_m1_at:
+                m1_switched = True
 
-        gamma = lam = r_used = beta = theta = theta_lam = None
-        decision = None
-        prev = records[-1] if records else None
-        eta = step_norm / prev.step_norm if prev is not None else None
+            gamma = lam = r_used = beta = theta = theta_lam = decision = None
+            prev = records[-1] if records else None
+            eta = step_norm / prev.step_norm if prev is not None else None
 
-        if k == 0 or cfg.method == "newton":
-            x_next = x + w
-        elif cfg.method == "na" and not m1_switched and cfg.m > 1:
-            window = records[-cfg.m:]
-            iterates = [rec.x for rec in window] + [x]
-            steps = [rec.w for rec in window] + [w]
-            x_next, gamma, theta = _na_m_update(iterates, steps, cfg.m, lt, nrm)
-            theta_lam = theta
-            decision = SafeguardDecision(case="not_applied", lambda_value=1.0)
-        else:
-            gamma = _gamma1(w, prev.w, lt)
-            if cfg.method == "gna" and safeguarded:
-                decision = gamma_safeguard(w, prev.w, gamma, cfg.r, norm=nrm)
-            elif (cfg.method == "agna" and safeguarded) or (
-                cfg.method == "na" and m1_switched
-            ):
-                decision = adaptive_gamma_safeguard(w, prev.w, gamma, cfg.r_hat, norm=nrm)
+            if k == 0 or cfg.method == "newton":
+                x_next = x + w
+            elif cfg.method == "na" and not m1_switched and cfg.m > 1:
+                if math.isfinite(step_norm):
+                    window = records[-cfg.m:]
+                    iterates = [rec.x for rec in window] + [x]
+                    steps = [rec.w for rec in window] + [w]
+                    x_next, gamma, theta = _na_m_update(
+                        iterates, steps, cfg.m, lt, nrm, step_norm
+                    )
+                    theta_lam = theta
+                    decision = _NOT_APPLIED
+                else:
+                    # a step whose norm overflows is not mixed; when the
+                    # step is non-finite, the loop top reports diverged
+                    x_next = x + w
             else:
-                decision = SafeguardDecision(case="not_applied", lambda_value=1.0)
-            lam_used = decision.lambda_value
-            x_next = na_update(x, prev.x, w, prev.w, gamma, lam_used)
-            theta = _gain(w, prev.w, gamma, step_norm, nrm)
-            theta_lam = _gain(w, prev.w, lam_used * gamma, step_norm, nrm)
-            if decision.case != "not_applied":
-                lam = lam_used
-                r_used = decision.r_used
-                beta = decision.beta
-
-        ls_t = None
-        ls_ok = True
-        if cfg.linesearch is not None:
-            d = x_next - x
-            # a non-finite step is left to the divergence test at the loop top
-            if np.any(d) and np.all(np.isfinite(d)):
-                ls = cfg.linesearch
-                ls_t, ls_ok = armijo_backtrack(
-                    p, x, d, ls.c1, ls.shrink, ls.max_backtracks, f
+                d = w - prev.w
+                lw = w if lt is None else lt @ w
+                ld = d if lt is None else lw - lt @ prev.w
+                gamma = _mixing_coefficient(lw, ld, step_norm + prev.step_norm)
+                if cfg.method == "gna" and safeguarded:
+                    decision = _decision(gamma, eta, cfg.r)
+                elif safeguarded or m1_switched:  # agna, or na after the switch
+                    decision = _decision(gamma, eta, min(eta, cfg.r_hat))
+                else:
+                    decision = _NOT_APPLIED
+                lam_used = decision.lambda_value
+                x_next = na_update(x, prev.x, w, prev.w, gamma, lam_used)
+                theta = nrm(w - gamma * d) / step_norm
+                theta_lam = (
+                    theta if lam_used == 1.0
+                    else nrm(w - (lam_used * gamma) * d) / step_norm
                 )
-                x_next = x + ls_t * d
+                if decision is not _NOT_APPLIED:
+                    lam = lam_used
+                    r_used = decision.r_used
+                    beta = decision.beta
 
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x,
-                w=w,
-                residual_norm=float(rnorm),
-                step_norm=float(step_norm),
-                gamma=gamma,
-                lam=lam,
-                eta=eta,
-                r_used=r_used,
-                beta=beta,
-                theta=theta,
-                theta_lambda=theta_lam,
-                decision=decision,
-                ls_t=ls_t,
-                ls_ok=ls_ok,
+            ls_t = f_next = None
+            ls_ok = True
+            if cfg.linesearch is not None:
+                dx = x_next - x
+                # a non-finite step is left to the divergence test at the loop top
+                if dx.any() and np.isfinite(dx).all():
+                    ls = cfg.linesearch
+                    fn = rnorm if lt is None else _norm(f)
+                    ls_t, ls_ok, x_next, f_next = _backtrack(
+                        p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, fn
+                    )
+
+            records.append(
+                IterationRecord(
+                    k=k,
+                    x=x,
+                    w=w,
+                    residual_norm=rnorm,
+                    step_norm=step_norm,
+                    gamma=gamma,
+                    lam=lam,
+                    eta=eta,
+                    r_used=r_used,
+                    beta=beta,
+                    theta=theta,
+                    theta_lambda=theta_lam,
+                    decision=decision,
+                    ls_t=ls_t,
+                    ls_ok=ls_ok,
+                )
             )
-        )
-        x = x_next
-        k += 1
+            x, f = x_next, f_next
+            k += 1
 
     return ConvergenceReport(
         records=tuple(records),

@@ -206,8 +206,8 @@ def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
             make_bratu_1d(1.0, 50),
         )
         with monkeypatch.context() as mp:
-            mp.setattr(solver_mod, "gamma_safeguard", lambda *a, **k: zero)
-            mp.setattr(solver_mod, "adaptive_gamma_safeguard", lambda *a, **k: zero)
+            # every safeguarded step of solve() takes its decision from _decision
+            mp.setattr(solver_mod, "_decision", lambda *a, **k: zero)
             for p in problems:
                 ref = solve(p, p.default_start, SolverConfig(method="newton"))
                 for method in ("gna", "agna"):

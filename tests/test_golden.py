@@ -15,9 +15,10 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nasolve import ArmijoConfig, SolverConfig
+from nasolve import ArmijoConfig, SolverConfig, harness
 from nasolve.harness import ExperimentSpec, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +88,35 @@ def test_rerun_matches_golden(name, tmp_path):
     )
     for path in written:
         assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+
+RECORD_FLOATS = (
+    "residual_norm", "step_norm", "gamma", "lam", "eta", "r_used", "beta", "theta",
+    "theta_lambda", "ls_t",
+)
+DECISION_FLOATS = ("lambda_value", "eta", "r_used", "beta")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
+    reports, solve = [], harness.solve
+
+    def solve_and_keep(*args):
+        reports.append(solve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "solve", solve_and_keep)
+    _run(name, tmp_path)
+    checked = 0
+    for rec in (rec for report in reports for rec in report.records):
+        values = [getattr(rec, f) for f in RECORD_FLOATS]
+        if rec.decision is not None:
+            values += [getattr(rec.decision, f) for f in DECISION_FLOATS]
+        for value in values:
+            if value is not None and not isinstance(value, np.ndarray):
+                assert type(value) is float, (name, rec.k, value)
+                checked += 1
+    assert checked > 0
 
 
 def regenerate(names=()):

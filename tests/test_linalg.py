@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nasolve import SingularMatrix, Tridiagonal, least_squares, solve_linear
+from nasolve.linalg import _RANK_TOL, NonFiniteInput
 
 
 class TestSolveLinear:
@@ -41,6 +42,20 @@ class TestSolveLinear:
             solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.array([1.0, np.nan]))
+
+    def test_non_finite_input_is_its_own_value_error(self):
+        assert issubclass(NonFiniteInput, ValueError)
+        with pytest.raises(NonFiniteInput):
+            solve_linear(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(NonFiniteInput):
+            solve_linear(np.eye(2), np.array([1.0, np.nan]))
+        bands = (np.ones(2), np.array([4.0, np.nan, 4.0]), np.ones(2))
+        with pytest.raises(NonFiniteInput):
+            solve_linear(Tridiagonal(*bands), np.ones(3))
+        for A, b in ((np.ones((2, 3)), np.ones(2)), (np.eye(2), np.ones(3))):
+            with pytest.raises(ValueError) as info:
+                solve_linear(A, b)
+            assert not isinstance(info.value, NonFiniteInput)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 1000])
     def test_bitwise_equal_to_lu_factor_lu_solve(self, n):
@@ -243,3 +258,54 @@ class TestLeastSquares:
             delta = rng.standard_normal(4)
             delta *= 1e-3 / np.linalg.norm(delta)
             assert np.linalg.norm(b - F @ (g + delta)) >= base - 1e-12
+
+
+def scipy_least_squares(F, b):
+    """The QR route through the scipy wrappers that ``least_squares`` replaced."""
+    m = F.shape[1]
+    Q, R, perm = scipy.linalg.qr(F, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = 0
+    if diag[0] > 0.0:
+        while rank < m and diag[rank] > _RANK_TOL * diag[0]:
+            rank += 1
+    g = np.zeros(m)
+    if rank:
+        y = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ b)
+        g[perm[:rank]] = y
+    return g
+
+
+@st.composite
+def mixing_problems(draw):
+    """Tall F (n <= 60, m <= 5) at a random scale, some columns repeated
+    (scaled) or zeroed so that the rank drops, and a rhs."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, min(n, 5)))
+    F = draw(unit_floats((n, m))) * 10.0 ** draw(st.integers(-12, 12))
+    for j in range(m):
+        kind = draw(st.sampled_from(["free", "free", "copy", "zero"]))
+        if kind == "copy" and j:
+            F[:, j] = draw(st.sampled_from([1.0, -2.0, 1e-13])) * F[:, 0]
+        elif kind == "zero":
+            F[:, j] = 0.0
+    if draw(st.booleans()):
+        F = np.asfortranarray(F)
+    return F, draw(unit_floats(n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixing_problems())
+def test_least_squares_equals_scipy_qr_route_bitwise(problem):
+    F, b = problem
+    assert least_squares(F, b).tobytes() == scipy_least_squares(F, b).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_least_squares_non_finite_input_raises(bad):
+    F = np.ones((3, 2))
+    F[1, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        least_squares(F, np.ones(3))
+    with pytest.raises(NonFiniteInput):
+        least_squares(np.eye(3)[:, :2], np.array([1.0, bad, 0.0]))

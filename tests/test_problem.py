@@ -71,6 +71,20 @@ class TestChandrasekhar:
         rnorm = np.linalg.norm(p.residual(np.ones(50)))
         assert rnorm <= np.sqrt(50) * c * 1.001
 
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    def test_jacobian_equals_eye_minus_scaled_kernel(self, n):
+        c = 0.9
+        p = make_chandrasekhar(c, n)
+        mu = (np.arange(1, n + 1) - 0.5) / n
+        A = (c / (2.0 * n)) * mu[:, None] / (mu[:, None] + mu[None, :])
+        rng = np.random.default_rng(n)
+        for H in (np.ones(n), 1.0 + 0.5 * rng.standard_normal(n)):
+            d = 1.0 / (1.0 - A @ H)
+            expected = np.eye(n) - (d * d)[:, None] * A
+            J = p.jacobian(H)
+            assert np.array_equal(J, expected)
+            assert J.tobytes() == expected.tobytes()
+
     def test_metadata(self):
         assert make_chandrasekhar(1.0, 10).metadata.is_singular
         p = make_chandrasekhar(0.5, 10)

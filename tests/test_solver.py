@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nasolve.solver as solver_mod
 from nasolve import (
@@ -444,6 +449,92 @@ class TestSolve:
         assert report.iterations == 1
         assert report.records[0].ls_t is None
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(method="na", m=1),
+            SolverConfig(method="na", m=2),
+            SolverConfig(method="na", m=3, linesearch=ArmijoConfig()),
+            SolverConfig(method="agna"),
+        ],
+        ids=["na1", "na2", "na3-linesearch", "agna"],
+    )
+    def test_diverged_on_overflowing_mixed_step(self, cfg):
+        # one Newton step to x = 0, where the step -1e150 / 1e-200 overflows
+        p = NonlinearProblem(
+            name="overflow",
+            dimension=1,
+            residual=lambda x: np.array([1.0 if x[0] == 1.0 else 1e150]),
+            jacobian=lambda x: np.array([[1.0 if x[0] == 1.0 else 1e-200]]),
+            default_start=np.ones(1),
+        )
+        cfg = dataclasses.replace(cfg, divergence_cap=1e300)
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "diverged"
+        assert report.iterations == 2
+        assert report.records[1].step_norm == np.inf
+
+    def test_overflowing_mixing_difference_raises(self):
+        # both steps and (in the weighted norm) their norms are finite, but
+        # their difference -1.5e308 - 1.5e308 overflows: the failed mixing
+        # problem raises instead of being taken as a Newton step
+        big = 1.5e308
+        p = NonlinearProblem(
+            name="overflow",
+            dimension=1,
+            residual=lambda x: np.array([-big if x[0] == 0.0 else big]),
+            jacobian=lambda x: np.eye(1),
+            default_start=np.zeros(1),
+        )
+        cfg = SolverConfig(
+            method="na", m=2, divergence_cap=np.inf, norm_weight=np.diag([1e-310])
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(p, p.default_start, cfg)
+
+    def test_error_state_restored_after_nested_solves(self):
+        # a residual that runs an inner solve, on an outer solve that diverges
+        inner = make_singular_quadratic()
+
+        def residual(x):
+            solve(inner, inner.default_start, SolverConfig(method="na", m=2))
+            return np.exp(np.exp(x))
+
+        p = NonlinearProblem(
+            name="nested",
+            dimension=1,
+            residual=residual,
+            jacobian=lambda x: np.eye(1),
+            default_start=np.full(1, 10.0),  # exp(exp(10)) overflows
+        )
+        with np.errstate(over="raise", invalid="raise"):
+            report = solve(p, p.default_start, SolverConfig(method="na", m=2))
+            assert report.status == "diverged"
+            assert np.geterr()["over"] == np.geterr()["invalid"] == "raise"
+
+    def test_diverged_on_non_finite_dense_jacobian(self):
+        p = NonlinearProblem(
+            name="dense",
+            dimension=2,
+            residual=lambda x: x - 1.0,
+            jacobian=lambda x: np.array([[1.0, np.inf], [0.0, 1.0]]),
+            default_start=np.zeros(2),
+        )
+        report = solve(p, p.default_start, SolverConfig())
+        assert report.status == "diverged"
+        assert report.iterations == 0
+
+    def test_malformed_jacobian_raises(self):
+        p = NonlinearProblem(
+            name="wrong shape",
+            dimension=2,
+            residual=lambda x: x - 1.0,
+            jacobian=lambda x: np.eye(3),
+            default_start=np.zeros(2),
+        )
+        with pytest.raises(ValueError, match="rhs shape"):
+            solve(p, p.default_start, SolverConfig())
+
     def test_diverged_on_non_finite_tridiagonal_jacobian(self):
         p = NonlinearProblem(
             name="tridiagonal",
@@ -491,6 +582,23 @@ class TestSolve:
         report = solve(p, np.zeros(50), cfg)
         assert report.status == "converged"
         assert all(rec.ls_t == 1.0 and rec.ls_ok for rec in report.records)
+
+    @pytest.mark.parametrize("method", ["newton", "agna"])
+    def test_linesearch_trial_residual_is_reused(self, method):
+        calls = []
+        base = make_bratu_1d(1.0, 20)
+
+        def residual(x):
+            calls.append(1)
+            return base.residual(x)
+
+        p = NonlinearProblem("counted", 20, residual, base.jacobian, np.zeros(20))
+        cfg = SolverConfig(method=method, linesearch=ArmijoConfig())
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "converged"
+        assert all(rec.ls_t == 1.0 for rec in report.records)
+        # f(x0), then one accepted trial per step; no loop top re-evaluates it
+        assert len(calls) == 1 + report.iterations
 
     def test_weighted_norm_hook(self):
         p = make_singular_quadratic()
@@ -555,15 +663,27 @@ class TestSafeguardInvariants:
                     assert rec.theta <= rec.theta_lambda + 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 300),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_norm_helper_equals_numpy_norm_bitwise(v):
+    with np.errstate(over="ignore"):
+        ref = np.linalg.norm(v)
+        got = solver_mod._norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == ref.tobytes()
+
+
 class TestNewtonReduction:
     def test_forced_lambda_zero_reproduces_newton_bitwise(self, monkeypatch):
         zero = SafeguardDecision(case="gamma_zero_or_ge_one", lambda_value=0.0)
-        monkeypatch.setattr(
-            solver_mod, "gamma_safeguard", lambda *a, **k: zero
-        )
-        monkeypatch.setattr(
-            solver_mod, "adaptive_gamma_safeguard", lambda *a, **k: zero
-        )
+        # every safeguarded step of solve() takes its decision from _decision
+        monkeypatch.setattr(solver_mod, "_decision", lambda *a, **k: zero)
         for p in (make_singular_quadratic(), make_chandrasekhar(1.0, 30)):
             ref = solve(p, p.default_start, SolverConfig(method="newton"))
             for method in ("gna", "agna"):
