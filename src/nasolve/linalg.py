@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "NonFiniteInput", "SingularMatrix", "Tridiagonal", "solve_linear", "least_squares"
@@ -78,9 +78,25 @@ class Tridiagonal:
         return A if dtype is None else A.astype(dtype, copy=False)
 
 
+def _all_finite(v):
+    """``np.isfinite(v).all()`` for a float array of at most one dimension.
+
+    One BLAS ``ddot`` screens it: a NaN or inf entry makes ``v . v`` NaN or
+    inf, and only an overflowing finite sum falls back to the full test.
+    SciPy's BLAS, not ``ndarray.dot``: it is the library LAPACK runs on, so
+    a large screen wakes no second BLAS thread pool before a factorization.
+    """
+    return not v.size or math.isfinite(blas.ddot(v, v)) or bool(np.isfinite(v).all())
+
+
 def _check_pivots(pivots, info, scale):
-    """Raise SingularMatrix on a zero pivot or one below ``eps * scale``."""
-    smallest = float(np.abs(pivots).min())
+    """Raise SingularMatrix on a zero pivot or one below ``eps * scale``.
+
+    ``argmin`` picks the smallest magnitude, or the first NaN, just as
+    ``min`` would, without the reduction machinery of ``ndarray.min``.
+    """
+    magnitudes = np.abs(pivots)
+    smallest = float(magnitudes[magnitudes.argmin()])
     if info > 0 or smallest < _EPS * scale:
         raise SingularMatrix(
             f"pivot {smallest:.3e} below eps*max|A| = {_EPS * scale:.3e}"
@@ -109,15 +125,17 @@ def solve_linear(A, b):
     if isinstance(A, Tridiagonal):
         entries = np.concatenate((A.dl, A.d, A.du))
     else:
-        A = entries = np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        # a view of a C- or Fortran-ordered A: the scans below copy nothing
+        entries = A.ravel(order="K")
     if b.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix shape {A.shape}")
-    # max|A| scales the pivot test; a NaN or inf entry makes it non-finite
-    scale = float(np.abs(entries).max(initial=0.0))
-    if not math.isfinite(scale) or not np.isfinite(b).all():
+    if not (_all_finite(entries) and _all_finite(b)):
         raise NonFiniteInput("matrix or rhs contains non-finite entries")
+    # max|A| scales the pivot test
+    scale = abs(float(entries[blas.idamax(entries)])) if entries.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
     if isinstance(A, Tridiagonal):

@@ -25,11 +25,18 @@ multiple solves over shared (immutable) problems may run concurrently.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import ConvergenceReport
-from .linalg import NonFiniteInput, SingularMatrix, least_squares, solve_linear
+from .linalg import (
+    NonFiniteInput,
+    SingularMatrix,
+    _all_finite,
+    least_squares,
+    solve_linear,
+)
 
 __all__ = [
     "METHODS",
@@ -132,23 +139,46 @@ class SolverConfig:
             raise ValueError("divergence_cap must be positive")
 
 
-@dataclass(frozen=True)
-class SafeguardDecision:
-    """Which safeguard case fired and the resulting scaling lambda.
+class _Validated:
+    """Construction through the class, ``_make`` or ``_replace`` runs
+    ``_check``; ``solve`` builds its records and decisions with
+    ``tuple.__new__``, which skips it, from values that satisfy it."""
 
-    Cases: ``not_applied`` (no safeguard evaluated this step),
-    ``gamma_zero_or_ge_one`` (lambda = 0, pure Newton step),
-    ``ratio_exceeded`` (lambda scaled so |lambda*gamma| hits the gate), and
-    ``pass_through`` (lambda = 1, full Anderson step).
-    """
+    __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _DecisionFields(NamedTuple):
     case: str
     lambda_value: float
     eta: float | None = None
     r_used: float | None = None
     beta: float | None = None
 
-    def __post_init__(self):
+
+class SafeguardDecision(_Validated, _DecisionFields):
+    """Which safeguard case fired and the resulting scaling lambda.
+
+    Cases: ``not_applied`` (no safeguard evaluated this step),
+    ``gamma_zero_or_ge_one`` (lambda = 0, pure Newton step),
+    ``ratio_exceeded`` (lambda scaled so |lambda*gamma| hits the gate), and
+    ``pass_through`` (lambda = 1, full Anderson step).
+
+    An immutable named tuple: fields are read by name, assigning one raises
+    ``AttributeError``, and an instance holds no ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if self.case == "gamma_zero_or_ge_one" and self.lambda_value != 0.0:
             raise ValueError("case gamma_zero_or_ge_one requires lambda = 0")
         if self.case == "pass_through" and self.lambda_value != 1.0:
@@ -160,12 +190,7 @@ class SafeguardDecision:
 _NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
-    the mixing/safeguard quantities when the method produced them (None
-    otherwise, e.g. on pure Newton steps)."""
-
+class _RecordFields(NamedTuple):
     k: int
     x: np.ndarray
     w: np.ndarray
@@ -182,7 +207,19 @@ class IterationRecord:
     ls_t: float | None = None
     ls_ok: bool = True
 
-    def __post_init__(self):
+
+class IterationRecord(_Validated, _RecordFields):
+    """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
+    the mixing/safeguard quantities when the method produced them (None
+    otherwise, e.g. on pure Newton steps).
+
+    An immutable named tuple: fields are read by name, assigning one raises
+    ``AttributeError``, and an instance holds no ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
 
@@ -229,10 +266,16 @@ def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    x_k = np.asarray(x_k, dtype=float)
-    xn = x_k + np.asarray(w_next, dtype=float)
-    xn_prev = np.asarray(x_km1, dtype=float) + np.asarray(w_prev, dtype=float)
-    return xn - (lam * gamma) * (xn - xn_prev)
+    x_k, x_km1, w_next, w_prev = (
+        np.asarray(v, dtype=float) for v in (x_k, x_km1, w_next, w_prev)
+    )
+    return _na_update(x_k, x_km1, w_next, w_prev, gamma, lam)
+
+
+def _na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
+    """``na_update`` on float arrays, with lam already known to lie in [0, 1]."""
+    xn = x_k + w_next
+    return xn - (lam * gamma) * (xn - (x_km1 + w_prev))
 
 
 def na_m_update(iterates, steps, m):
@@ -240,7 +283,9 @@ def na_m_update(iterates, steps, m):
 
     ``iterates`` holds x_{k-j}, ..., x_k (most recent last) and ``steps``
     holds the corresponding Newton steps up to w_{k+1}.  The window is
-    clamped to m_k = min(k, m) columns: difference matrices F (steps) and
+    clamped to m_k = min(k, m, n) columns, n the dimension (with more
+    columns than rows the least-squares problem has no unique minimizer, so
+    only the n newest differences are used): difference matrices F (steps) and
     E (iterates) are assembled newest-first, gamma solves the least-squares
     problem min |w_{k+1} - F gamma|, and the update is
     x_k + w_{k+1} - (E + F) gamma.
@@ -257,8 +302,8 @@ def _na_m_update(iterates, steps, m, lt, nrm, wn=None):
         raise ValueError("depth m must be a positive integer")
     if len(steps) < 2 or len(iterates) < 2:
         raise ValueError("need at least one prior iterate and step")
-    m_k = min(m, len(steps) - 1, len(iterates) - 1)
     w_next = np.asarray(steps[-1], dtype=float)
+    m_k = min(m, len(steps) - 1, len(iterates) - 1, len(w_next))
     F = np.column_stack(
         [np.asarray(steps[-1 - j]) - np.asarray(steps[-2 - j]) for j in range(m_k)]
     )
@@ -301,9 +346,8 @@ def _step_ratio(w_next, w_prev, name, r, norm):
 def _decision(gamma, eta, r_used):
     beta = r_used * eta
     case, lam = _safeguard_case(gamma, beta)
-    return SafeguardDecision(
-        case=case, lambda_value=lam, eta=eta, r_used=r_used, beta=beta
-    )
+    # _safeguard_case pairs each case with its lambda, in [0, 1]
+    return tuple.__new__(SafeguardDecision, (case, lam, eta, r_used, beta))
 
 
 def gamma_safeguard(w_next, w_prev, gamma, r, norm=np.linalg.norm):
@@ -342,7 +386,7 @@ def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fx=None):
         raise ValueError("direction must be finite and nonzero")
     x = np.asarray(x, dtype=float)
     if fx is None:
-        fx = p.residual(x)
+        fx = _residual(p, x)
     fn = float(np.linalg.norm(fx))
     with np.errstate(over="ignore", invalid="ignore"):
         return _backtrack(p, x, d, c1, shrink, max_backtracks, fn)[:2]
@@ -358,11 +402,20 @@ def _backtrack(p, x, d, c1, shrink, max_backtracks, fn):
         if i:
             t *= shrink
         xt = x + t * d
-        ft = np.asarray(p.residual(xt), dtype=float)
+        ft = _residual(p, xt)
         # a non-finite ft gives an inf or NaN ft @ ft, which fails the test
         if 0.5 * float(ft @ ft) <= 0.5 * fn2 - c1 * t * fn2:
             return t, True, xt, ft
     return t, False, xt, ft
+
+
+def _residual(p, x, order=None):
+    """``p.residual(x)`` as a float array in ``order``; ValueError unless it
+    has the shape of x, so a malformed residual fails where it is returned."""
+    f = np.asarray(p.residual(x), dtype=float, order=order)
+    if f.shape != x.shape:
+        raise ValueError(f"residual returned shape {f.shape}, expected {x.shape}")
+    return f
 
 
 def _norm(v):
@@ -424,10 +477,13 @@ def solve(p, x0, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             # C order: _norm equals np.linalg.norm only on contiguous arrays
-            f = np.asarray(p.residual(x) if f is None else f, dtype=float, order="C")
+            if f is None:
+                f = _residual(p, x, "C")
+            else:
+                f = np.asarray(f, order="C")
             # the norm is non-finite exactly when f is (or |f| overflows)
             rnorm = nrm(f)
-            if not (np.isfinite(x).all() and rnorm < cfg.divergence_cap):
+            if not (_all_finite(x) and rnorm < cfg.divergence_cap):
                 status = "diverged"
                 break
             if rnorm <= cfg.tol:
@@ -489,7 +545,7 @@ def solve(p, x0, cfg):
                 else:
                     decision = _NOT_APPLIED
                 lam_used = decision.lambda_value
-                x_next = na_update(x, prev.x, w, prev.w, gamma, lam_used)
+                x_next = _na_update(x, prev.x, w, prev.w, gamma, lam_used)
                 theta = nrm(w - gamma * d) / step_norm
                 theta_lam = (
                     theta if lam_used == 1.0
@@ -505,32 +561,18 @@ def solve(p, x0, cfg):
             if cfg.linesearch is not None:
                 dx = x_next - x
                 # a non-finite step is left to the divergence test at the loop top
-                if dx.any() and np.isfinite(dx).all():
+                if dx.any() and _all_finite(dx):
                     ls = cfg.linesearch
                     fn = rnorm if lt is None else _norm(f)
                     ls_t, ls_ok, x_next, f_next = _backtrack(
                         p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, fn
                     )
 
-            records.append(
-                IterationRecord(
-                    k=k,
-                    x=x,
-                    w=w,
-                    residual_norm=rnorm,
-                    step_norm=step_norm,
-                    gamma=gamma,
-                    lam=lam,
-                    eta=eta,
-                    r_used=r_used,
-                    beta=beta,
-                    theta=theta,
-                    theta_lambda=theta_lam,
-                    decision=decision,
-                    ls_t=ls_t,
-                    ls_ok=ls_ok,
-                )
-            )
+            # in field order, unchecked: lam is a decision's lambda, in [0, 1]
+            records.append(tuple.__new__(IterationRecord, (
+                k, x, w, rnorm, step_norm, gamma, lam, eta, r_used, beta,
+                theta, theta_lam, decision, ls_t, ls_ok,
+            )))
             x, f = x_next, f_next
             k += 1
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nasolve import SingularMatrix, Tridiagonal, least_squares, solve_linear
-from nasolve.linalg import _RANK_TOL, NonFiniteInput
+from nasolve.linalg import _RANK_TOL, NonFiniteInput, _all_finite
 
 
 class TestSolveLinear:
@@ -309,3 +311,137 @@ def test_least_squares_non_finite_input_raises(bad):
         least_squares(F, np.ones(3))
     with pytest.raises(NonFiniteInput):
         least_squares(np.eye(3)[:, :2], np.array([1.0, bad, 0.0]))
+
+
+# --- exactness of the O(1) checks in solve_linear ---------------------------
+
+_REF_EPS = float(np.finfo(float).eps)
+
+
+def reference_solve_linear(A, b):
+    """``solve_linear`` with the NumPy checks it had before the BLAS screens:
+    max|A| by ``np.abs(...).max()``, finiteness by ``np.isfinite``, the pivot
+    test by ``np.abs(pivots).min()``."""
+    b = np.asarray(b, dtype=float)
+    if isinstance(A, Tridiagonal):
+        entries = np.concatenate((A.dl, A.d, A.du))
+    else:
+        A = entries = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"rhs shape {b.shape} does not match matrix shape {A.shape}")
+    scale = float(np.abs(entries).max(initial=0.0))
+    if not np.isfinite(scale) or not np.isfinite(b).all():
+        raise NonFiniteInput("matrix or rhs contains non-finite entries")
+    if scale == 0.0:
+        raise SingularMatrix("matrix is identically zero")
+    if isinstance(A, Tridiagonal):
+        _, pivots, _, x, info = scipy.linalg.lapack.dgtsv(A.dl, A.d, A.du, b)
+    else:
+        lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+        pivots = lu.diagonal()
+    smallest = float(np.abs(pivots).min())
+    if info > 0 or smallest < _REF_EPS * scale:
+        raise SingularMatrix(
+            f"pivot {smallest:.3e} below eps*max|A| = {_REF_EPS * scale:.3e}"
+        )
+    if isinstance(A, Tridiagonal):
+        return x
+    return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
+
+
+def outcome(f, *args):
+    """The exception (type and message) or the result's bytes; any warning
+    counts as an exception, so a new warning is a different outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", f(*args).tobytes()
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+
+# NaN, infinities, entries whose squares overflow, subnormals, signed zeros,
+# tiny values that make tiny pivots, and pairs of huge entries whose
+# elimination overflows into inf or NaN pivots
+SPECIAL = [
+    np.nan, np.inf, -np.inf, 1e200, -1e200, 1.7e308, -1.7e308, 1e154,
+    5e-324, -1e-310, 2.2e-308, 0.0, -0.0, 1e-40, 1e-300, 1.0, -1.0, 2.0,
+]
+
+
+@st.composite
+def dense_systems(draw):
+    n = draw(st.integers(1, 6))
+    elements = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0),
+                         st.floats(allow_nan=True, allow_infinity=True))
+    A = draw(arrays(np.float64, (n, n), elements=elements))
+    b = draw(arrays(np.float64, n, elements=elements))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        A = np.asfortranarray(A)
+    elif layout == "strided":
+        A = np.repeat(A, 2, axis=1)[:, ::2]
+    return A, b
+
+
+@st.composite
+def tridiagonal_special_systems(draw):
+    n = draw(st.integers(2, 8))
+    elements = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0))
+    dl, d, du, b = (draw(arrays(np.float64, size, elements=elements))
+                    for size in (n - 1, n, n - 1, n))
+    return Tridiagonal(dl, d, du), b
+
+
+class TestChecksMatchReference:
+    @settings(max_examples=600, deadline=None)
+    @given(dense_systems())
+    def test_dense(self, system):
+        A, b = system
+        assert outcome(solve_linear, A, b) == outcome(reference_solve_linear, A, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tridiagonal_special_systems())
+    def test_tridiagonal(self, system):
+        T, b = system
+        assert outcome(solve_linear, T, b) == outcome(reference_solve_linear, T, b)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1.0, 1e308], [1.0, -1e308]],           # elimination gives an inf pivot
+            [[1.0, 1e308, 1e308], [1.0, -1e308, 1e308], [1.0, 1e308, -1e308]],
+            [[1.0, 1e308, -1e308], [1.0, -1e308, 1e308], [1.0, 1e308, 1e308]],  # NaN
+            [[1e-300, 0.0], [0.0, 1.0]],             # tiny pivot
+            [[1e300, 0.0], [0.0, 1e-30]],            # tiny next to a huge scale
+            [[5e-324, 0.0], [0.0, 5e-324]],          # subnormal scale: eps*scale is 0
+            [[1e-200, 0.0], [0.0, 1e-200]],          # squares underflow to 0
+            [[1e200, 1.0], [1.0, 1e200]],            # squares overflow
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[2.0, 1.0], [4.0, 2.0]],                # exactly singular
+        ],
+    )
+    def test_edge_matrices(self, A):
+        A = np.array(A)
+        b = np.ones(len(A))
+        assert outcome(solve_linear, A, b) == outcome(reference_solve_linear, A, b)
+
+    def test_empty_matrix_is_singular(self):
+        assert outcome(solve_linear, np.zeros((0, 0)), np.zeros(0)) == outcome(
+            reference_solve_linear, np.zeros((0, 0)), np.zeros(0)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.float64, st.integers(0, 40),
+           elements=st.one_of(st.sampled_from(SPECIAL),
+                              st.floats(allow_nan=True, allow_infinity=True))),
+    st.integers(1, 3),
+)
+def test_finite_screen_equals_isfinite(v, stride):
+    # the screen behind solve_linear's checks and solve's x and dx tests
+    view = v[::stride]
+    assert _all_finite(view) is bool(np.isfinite(view).all())

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +136,29 @@ class TestNaMUpdate:
         ws = [rng.standard_normal(3) for _ in range(2)]
         _, gamma, _ = na_m_update(xs, ws, m=5)
         assert gamma.shape == (1,)
+
+    def test_window_clamped_to_dimension(self):
+        # four differences of 2-vectors: only the two newest are mixed
+        rng = np.random.default_rng(15)
+        xs = [rng.standard_normal(2) for _ in range(5)]
+        ws = [rng.standard_normal(2) for _ in range(5)]
+        x_next, gamma, _ = na_m_update(xs, ws, m=4)
+        ref = na_m_update(xs[-3:], ws[-3:], m=2)
+        assert gamma.shape == (2,)
+        assert x_next.tobytes() == ref[0].tobytes()
+        assert gamma.tobytes() == ref[1].tobytes()
+
+    def test_solve_with_depth_above_dimension(self):
+        # rejected linesearch steps keep the 2-D solve going past k = 2, so
+        # the depth-3 window would hold three columns of length two
+        p = make_singular_quadratic()
+        cfg = SolverConfig(
+            method="na", m=3, linesearch=ArmijoConfig(c1=0.5, max_backtracks=2)
+        )
+        report = solve(p, [1.0, 1.0], cfg)
+        assert report.status == "converged"
+        assert report.iterations >= 4
+        assert all(len(rec.gamma) <= 2 for rec in report.records[1:])
 
     def test_zero_gamma_gives_newton_iterate(self):
         # equal consecutive steps make F the zero matrix, so gamma = 0
@@ -728,3 +753,164 @@ class TestNaDepthOneEquivalence:
             for rec, x_ref in zip(rep.records, xs):
                 scale = 1.0 + np.linalg.norm(x_ref)
                 assert np.linalg.norm(rec.x - x_ref) / scale <= 1e-12
+
+
+def bare_record(**fields):
+    return IterationRecord(
+        k=0, x=np.zeros(2), w=np.ones(2), residual_norm=1.0, step_norm=2.0, **fields
+    )
+
+
+class TestRecordTypes:
+    def test_keyword_construction_with_defaults(self):
+        rec = bare_record()
+        assert (rec.k, rec.residual_norm, rec.step_norm) == (0, 1.0, 2.0)
+        optional = ("gamma", "lam", "eta", "r_used", "beta", "theta",
+                    "theta_lambda", "decision", "ls_t")
+        assert all(getattr(rec, name) is None for name in optional)
+        assert rec.ls_ok is True
+        d = SafeguardDecision(case="not_applied", lambda_value=1.0)
+        assert (d.case, d.lambda_value, d.eta, d.r_used, d.beta) == (
+            "not_applied", 1.0, None, None, None
+        )
+        assert bare_record(lam=0.25, decision=d).decision is d
+
+    @pytest.mark.parametrize("lam", [-0.1, -1e-300, 1.0000000000000002, 1.5, np.nan])
+    def test_lambda_outside_unit_interval_raises(self, lam):
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            bare_record(lam=lam)
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            SafeguardDecision(case="ratio_exceeded", lambda_value=lam)
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            bare_record()._replace(lam=lam)
+        d = SafeguardDecision(case="ratio_exceeded", lambda_value=0.5)
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            d._replace(lambda_value=lam)
+
+    def test_missing_required_field_raises(self):
+        with pytest.raises(TypeError):
+            IterationRecord(k=0, x=np.zeros(2))
+        with pytest.raises(TypeError):
+            SafeguardDecision(case="not_applied")
+
+    def test_attributes_cannot_be_set(self):
+        rec = bare_record()
+        d = SafeguardDecision(case="pass_through", lambda_value=1.0)
+        for obj in (rec, d):
+            for name in (*obj._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 0.5)
+        assert rec.lam is None and d.lambda_value == 1.0
+
+    def test_records_of_a_solve_hold_no_instance_dict(self):
+        p = make_singular_quadratic()
+        report = solve(p, p.default_start, SolverConfig(method="agna"))
+        decisions = [rec.decision for rec in report.records if rec.decision is not None]
+        assert decisions
+        for obj in (*report.records, *decisions, bare_record()):
+            assert not hasattr(obj, "__dict__")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(method="gna"),
+            SolverConfig(method="agna", linesearch=ArmijoConfig()),
+            SolverConfig(method="na", m=3, switch_to_m1_at=1e-3),
+        ],
+        ids=["gna", "agna-linesearch", "na3-switch"],
+    )
+    def test_solve_records_pass_public_construction(self, cfg):
+        # solve() builds records and decisions without the constructor's
+        # checks; rebuilding each by keyword must neither raise nor change it
+        p = make_chandrasekhar(1.0, 10)
+        for rec in solve(p, p.default_start, cfg).records:
+            again = IterationRecord(**rec._asdict())
+            assert all(a is b for a, b in zip(again, rec))
+            if rec.decision is not None:
+                SafeguardDecision(**rec.decision._asdict())
+                if rec.decision.case != "not_applied":
+                    assert rec.lam == rec.decision.lambda_value
+
+
+MALFORMED_RESIDUALS = {
+    "column": lambda f: f.reshape(-1, 1),
+    "too_long": lambda f: np.append(f, 0.0),
+    "scalar": lambda f: f[0],
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_RESIDUALS)
+@pytest.mark.parametrize("where", ["start", "weighted_start", "loop_top", "linesearch"])
+def test_wrong_shape_residual_raises_where_returned(malform, where):
+    base = make_singular_quadratic()
+    calls = []
+
+    def residual(x):
+        calls.append(1)
+        f = base.residual(x)
+        good = where in ("loop_top", "linesearch") and len(calls) == 1
+        return f if good else MALFORMED_RESIDUALS[malform](f)
+
+    p = NonlinearProblem("malformed", 2, residual, base.jacobian, np.ones(2))
+    cfg = {
+        "start": SolverConfig(),
+        "weighted_start": SolverConfig(norm_weight=np.diag([2.0, 1.0])),
+        "loop_top": SolverConfig(method="agna"),
+        "linesearch": SolverConfig(method="agna", linesearch=ArmijoConfig()),
+    }[where]
+    shape = np.shape(MALFORMED_RESIDUALS[malform](np.ones(2)))
+    message = f"residual returned shape {shape}, expected (2,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(p, p.default_start, cfg)
+    # raised by the first malformed residual, before any further evaluation
+    assert len(calls) == (1 if where.endswith("start") else 2)
+
+
+STATUSES = ("converged", "diverged", "singular_jacobian", "max_iter")
+
+
+@st.composite
+def solve_cases(draw):
+    kind = draw(st.sampled_from(["singular_quadratic", "chandrasekhar", "bratu1d"]))
+    if kind == "singular_quadratic":
+        p = make_singular_quadratic()
+    elif kind == "chandrasekhar":
+        p = make_chandrasekhar(draw(st.floats(0.05, 1.0)), draw(st.integers(2, 20)))
+    else:
+        p = make_bratu_1d(draw(st.floats(0.0, 4.0)), draw(st.integers(3, 20)))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e150, 1e300]))
+    x0 = draw(arrays(np.float64, p.dimension, elements=st.floats(-scale, scale)))
+    method = draw(st.sampled_from(["newton", "na", "gna", "agna"]))
+    kwargs = {"method": method, "max_iter": draw(st.integers(1, 40))}
+    if method == "na":
+        kwargs["m"] = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            kwargs["switch_to_m1_at"] = draw(st.sampled_from([1e-1, 1e-3]))
+    if method in ("gna", "agna"):
+        kwargs["activation"] = draw(st.sampled_from(["always", "asymptotic"]))
+        kwargs["r"] = kwargs["r_hat"] = draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        kwargs["linesearch"] = ArmijoConfig(
+            c1=draw(st.sampled_from([1e-4, 0.5])),
+            max_backtracks=draw(st.integers(1, 8)),
+        )
+    if draw(st.booleans()):
+        kwargs["norm_weight"] = np.diag(np.linspace(1.0, 3.0, p.dimension))
+    return p, x0, SolverConfig(**kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_cases())
+def test_solve_reports_a_status_and_consistent_records(case):
+    p, x0, cfg = case
+    with warnings.catch_warnings():
+        # a start far from the root may divide by zero in the residual
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = solve(p, x0, cfg)
+    assert report.status in STATUSES
+    assert report.iterations == len(report.records) <= cfg.max_iter
+    assert [rec.k for rec in report.records] == list(range(report.iterations))
+    for rec in report.records:
+        assert rec.lam is None or 0.0 <= rec.lam <= 1.0
+        if rec.decision is not None:
+            assert 0.0 <= rec.decision.lambda_value <= 1.0
