@@ -42,7 +42,6 @@ from .solver import (
     gamma_safeguard,
     na_m_update,
     na_update,
-    newton_step,
     solve,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "make_singular_quadratic",
     "na_m_update",
     "na_update",
-    "newton_step",
     "null_space_gamma",
     "problem_from_id",
     "quasi_restart_count",

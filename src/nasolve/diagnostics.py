@@ -6,6 +6,8 @@ summaries.  All functions here are pure over immutable reports and safe for
 concurrent use.
 """
 
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +68,20 @@ class ConvergenceReport:
     @property
     def q_term(self):
         """Terminal convergence-order estimate, or None when undefined."""
-        norms = [sn for sn in self.step_norms if sn > 0.0]
+        norms = [rec.step_norm for rec in self.records if rec.step_norm > 0.0]
         try:
             return estimate_order(norms)[1]
-        except (OrderUndefined, ValueError):
+        except OrderUndefined:
             return None
+
+
+def _step_orders(norms):
+    """q = log(b) / log(a) for each consecutive pair a, b of step norms,
+    None unless both lie in (0, 1): the log-ratio is meaningless there."""
+    return [
+        math.log(b) / math.log(a) if 0.0 < a < 1.0 and 0.0 < b < 1.0 else None
+        for a, b in zip(norms, norms[1:])
+    ]
 
 
 def estimate_order(step_norms):
@@ -89,16 +100,11 @@ def estimate_order(step_norms):
         raise ValueError("step_norms must be a 1-D sequence")
     if np.any(norms <= 0.0):
         raise ValueError("step norms must be positive")
-    qs = []
-    for a, b in zip(norms[:-1], norms[1:]):
-        if a < 1.0 and b < 1.0:
-            qs.append(np.log(b) / np.log(a))
-    if np.count_nonzero(norms < 1.0) < 3 or not qs:
-        raise OrderUndefined(
-            f"need at least 3 step norms below 1, have {np.count_nonzero(norms < 1.0)}"
-        )
-    qs = np.asarray(qs)
-    return qs, float(np.median(qs[-3:]))
+    qs = [q for q in _step_orders(norms.tolist()) if q is not None]
+    below = int(np.count_nonzero(norms < 1.0))
+    if below < 3 or not qs:
+        raise OrderUndefined(f"need at least 3 step norms below 1, have {below}")
+    return np.asarray(qs), statistics.median(qs[-3:])
 
 
 def decompose_errors(report, truth):

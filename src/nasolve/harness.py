@@ -23,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
+from .diagnostics import _step_orders
 from .problem import PROBLEM_IDS, problem_from_id
 from .solver import (
     ACTIVATIONS,
     METHODS,
     ArmijoConfig,
     SolverConfig,
-    _safeguard_case,
+    anderson_gamma_1,
+    gamma_safeguard,
     solve,
 )
 
@@ -157,11 +159,8 @@ def history_rows(report):
     Floats are plain Python floats; missing and non-finite values are None.
     """
     rows = []
-    norms = [rec.step_norm for rec in report.records]
-    for i, rec in enumerate(report.records):
-        q = None
-        if i > 0 and 0.0 < norms[i - 1] < 1.0 and 0.0 < norms[i] < 1.0:
-            q = math.log(norms[i]) / math.log(norms[i - 1])
+    qs = [None] + _step_orders([rec.step_norm for rec in report.records])
+    for rec, q in zip(report.records, qs):
         gamma = rec.gamma
         if isinstance(gamma, np.ndarray):
             gamma = [_finite(g) for g in gamma]
@@ -410,20 +409,20 @@ def _cmd_experiment(args):
 def _cmd_verify(args):
     if args.check == "safeguard":
         lam_oracle = oracle.safeguard_case_oracle(args.gamma, args.beta)
-        _, lam_solver = _safeguard_case(args.gamma, args.beta)
+        # the gate r * eta is beta exactly for r = 0.5, eta = 2 * beta
+        lam_solver = gamma_safeguard(args.gamma, 2.0 * args.beta, 0.5).lambda_value
         print(f"gamma={args.gamma!r} beta={args.beta!r}")
         print(f"solver lambda = {lam_solver!r}")
         print(f"oracle lambda = {lam_oracle!r}")
         return 0 if abs(lam_solver - lam_oracle) <= 1e-14 else 2
     if args.check == "gamma-grid":
-        from .solver import anderson_gamma_1
-
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.trials):
             w_next = rng.standard_normal(4)
             w_prev = rng.standard_normal(4)
-            closed = anderson_gamma_1(w_next, w_prev)
+            scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
+            closed = anderson_gamma_1(w_next, w_next - w_prev, scale)
             gridded = oracle.gamma_grid_oracle(
                 w_next, w_prev, closed - 1.0, closed + 1.0, args.step
             )

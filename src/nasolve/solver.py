@@ -45,7 +45,6 @@ __all__ = [
     "SolverConfig",
     "SafeguardDecision",
     "IterationRecord",
-    "newton_step",
     "anderson_gamma_1",
     "na_update",
     "na_m_update",
@@ -139,23 +138,6 @@ class SolverConfig:
             raise ValueError("divergence_cap must be positive")
 
 
-class _Validated:
-    """Construction through the class, ``_make`` or ``_replace`` runs
-    ``_check``; ``solve`` builds its records and decisions with
-    ``tuple.__new__``, which skips it, from values that satisfy it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class _DecisionFields(NamedTuple):
     case: str
     lambda_value: float
@@ -164,7 +146,7 @@ class _DecisionFields(NamedTuple):
     beta: float | None = None
 
 
-class SafeguardDecision(_Validated, _DecisionFields):
+class SafeguardDecision(_DecisionFields):
     """Which safeguard case fired and the resulting scaling lambda.
 
     Cases: ``not_applied`` (no safeguard evaluated this step),
@@ -173,42 +155,31 @@ class SafeguardDecision(_Validated, _DecisionFields):
     ``pass_through`` (lambda = 1, full Anderson step).
 
     An immutable named tuple: fields are read by name, assigning one raises
-    ``AttributeError``, and an instance holds no ``__dict__``.
+    ``AttributeError``, and an instance holds no ``__dict__``.  Building one
+    through the class, ``_make`` or ``_replace`` checks lambda.
     """
 
     __slots__ = ()
 
-    def _check(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.case == "gamma_zero_or_ge_one" and self.lambda_value != 0.0:
             raise ValueError("case gamma_zero_or_ge_one requires lambda = 0")
         if self.case == "pass_through" and self.lambda_value != 1.0:
             raise ValueError("case pass_through requires lambda = 1")
         if not 0.0 <= self.lambda_value <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lambda_value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 _NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
 
 
-class _RecordFields(NamedTuple):
-    k: int
-    x: np.ndarray
-    w: np.ndarray
-    residual_norm: float
-    step_norm: float
-    gamma: float | np.ndarray | None = None
-    lam: float | None = None
-    eta: float | None = None
-    r_used: float | None = None
-    beta: float | None = None
-    theta: float | None = None
-    theta_lambda: float | None = None
-    decision: SafeguardDecision | None = None
-    ls_t: float | None = None
-    ls_ok: bool = True
-
-
-class IterationRecord(_Validated, _RecordFields):
+class IterationRecord(NamedTuple):
     """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
     the mixing/safeguard quantities when the method produced them (None
     otherwise, e.g. on pure Newton steps).
@@ -217,40 +188,47 @@ class IterationRecord(_Validated, _RecordFields):
     ``AttributeError``, and an instance holds no ``__dict__``.
     """
 
-    __slots__ = ()
+    k: int
+    x: np.ndarray
+    w: np.ndarray
+    residual_norm: float
+    step_norm: float
+    gamma: float | np.ndarray | None = None
+    eta: float | None = None
+    theta: float | None = None
+    theta_lambda: float | None = None
+    decision: SafeguardDecision | None = None
+    ls_t: float | None = None
+    ls_ok: bool = True
 
-    def _check(self):
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+    def _applied(self, name):
+        d = self.decision
+        return None if d is None or d.case == "not_applied" else getattr(d, name)
+
+    @property
+    def lam(self):
+        """``decision.lambda_value``; None unless a safeguard was applied."""
+        return self._applied("lambda_value")
+
+    @property
+    def r_used(self):
+        """``decision.r_used``; None unless a safeguard was applied."""
+        return self._applied("r_used")
+
+    @property
+    def beta(self):
+        """``decision.beta``; None unless a safeguard was applied."""
+        return self._applied("beta")
 
 
-def newton_step(p, x):
-    """Newton step w solving f'(x) w = -f(x), plus the residual norm |f(x)|.
+def anderson_gamma_1(w_next, d, scale):
+    """Scalar depth-1 mixing coefficient d.w_next / |d|^2, d = w_next - w_prev.
 
-    Propagates SingularMatrix when the Jacobian is numerically singular at
-    x (the iterate left the domain of invertibility).
+    This is the unconstrained minimizer of |w_next - gamma*d| over float
+    arrays.  ``scale`` is |w_next| + |w_prev|: when |d| <= eps * scale (steps
+    equal to machine precision) the coefficient is defined as 0, i.e. a pure
+    Newton step.
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(p.residual(x), dtype=float)
-    w = solve_linear(p.jacobian(x), -f)
-    return w, float(np.linalg.norm(f))
-
-
-def anderson_gamma_1(w_next, w_prev):
-    """Scalar depth-1 mixing coefficient (w_next - w_prev).w_next / |w_next - w_prev|^2.
-
-    This is the unconstrained minimizer of |w_next - gamma*(w_next - w_prev)|.
-    When the denominator is degenerate (steps equal to machine precision) the
-    coefficient is defined as 0, i.e. a pure Newton step.
-    """
-    w_next = np.asarray(w_next, dtype=float)
-    w_prev = np.asarray(w_prev, dtype=float)
-    scale = float(np.linalg.norm(w_next)) + float(np.linalg.norm(w_prev))
-    return _mixing_coefficient(w_next, w_next - w_prev, scale)
-
-
-def _mixing_coefficient(w_next, d, scale):
-    """``anderson_gamma_1`` given d = w_next - w_prev, scale = |w_next| + |w_prev|."""
     dd = float(d @ d)
     if math.sqrt(dd) <= _EPS * scale:
         return 0.0
@@ -260,29 +238,21 @@ def _mixing_coefficient(w_next, d, scale):
 def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
     """Depth-1 Anderson update of the iterate with safeguard scaling lam.
 
-    Returns ``x_k + w_next - lam*gamma*((x_k + w_next) - (x_km1 + w_prev))``.
-    The algebraic form guarantees that lam*gamma == 0 reproduces the Newton
-    iterate x_k + w_next bitwise.
+    Returns ``x_k + w_next - lam*gamma*((x_k + w_next) - (x_km1 + w_prev))``
+    for float arrays.  The algebraic form guarantees that lam*gamma == 0
+    reproduces the Newton iterate x_k + w_next bitwise.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    x_k, x_km1, w_next, w_prev = (
-        np.asarray(v, dtype=float) for v in (x_k, x_km1, w_next, w_prev)
-    )
-    return _na_update(x_k, x_km1, w_next, w_prev, gamma, lam)
-
-
-def _na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
-    """``na_update`` on float arrays, with lam already known to lie in [0, 1]."""
     xn = x_k + w_next
     return xn - (lam * gamma) * (xn - (x_km1 + w_prev))
 
 
-def na_m_update(iterates, steps, m):
+def na_m_update(iterates, steps, m, wn, lt):
     """Depth-m Anderson update from iterate/step histories.
 
-    ``iterates`` holds x_{k-j}, ..., x_k (most recent last) and ``steps``
-    holds the corresponding Newton steps up to w_{k+1}.  The window is
+    ``iterates`` holds float arrays x_{k-j}, ..., x_k (most recent last) and
+    ``steps`` the corresponding Newton steps up to w_{k+1}.  The window is
     clamped to m_k = min(k, m, n) columns, n the dimension (with more
     columns than rows the least-squares problem has no unique minimizer, so
     only the n newest differences are used): difference matrices F (steps) and
@@ -290,118 +260,86 @@ def na_m_update(iterates, steps, m):
     problem min |w_{k+1} - F gamma|, and the update is
     x_k + w_{k+1} - (E + F) gamma.
 
+    Norms are |v| = |lt @ v|, with ``lt`` the transposed Cholesky factor of
+    the norm weight, or None for the Euclidean norm; ``wn`` is |w_{k+1}|.
     Returns ``(next iterate, gamma vector, theta)`` where theta is the
     optimization gain |w_{k+1} - F gamma| / |w_{k+1}|.
     """
-    return _na_m_update(iterates, steps, m, None, np.linalg.norm)
-
-
-def _na_m_update(iterates, steps, m, lt, nrm, wn=None):
-    """``na_m_update`` in the norm ``nrm`` = |lt @ .|, given wn = nrm(w_{k+1})."""
     if m < 1:
         raise ValueError("depth m must be a positive integer")
     if len(steps) < 2 or len(iterates) < 2:
         raise ValueError("need at least one prior iterate and step")
-    w_next = np.asarray(steps[-1], dtype=float)
+    w_next = steps[-1]
     m_k = min(m, len(steps) - 1, len(iterates) - 1, len(w_next))
-    F = np.column_stack(
-        [np.asarray(steps[-1 - j]) - np.asarray(steps[-2 - j]) for j in range(m_k)]
-    )
-    E = np.column_stack(
-        [np.asarray(iterates[-1 - j]) - np.asarray(iterates[-2 - j]) for j in range(m_k)]
-    )
+    F = np.column_stack([steps[-1 - j] - steps[-2 - j] for j in range(m_k)])
+    E = np.column_stack([iterates[-1 - j] - iterates[-2 - j] for j in range(m_k)])
     if lt is None:
         gamma = least_squares(F, w_next)
     else:
         gamma = least_squares(lt @ F, lt @ w_next)
-    if wn is None:
-        wn = nrm(w_next)
-    theta = float(nrm(w_next - F @ gamma) / wn) if wn > 0.0 else 0.0
-    x_next = np.asarray(iterates[-1], dtype=float) + w_next - (E + F) @ gamma
+    r = w_next - F @ gamma
+    theta = float(_norm(r if lt is None else lt @ r) / wn) if wn > 0.0 else 0.0
+    x_next = iterates[-1] + w_next - (E + F) @ gamma
     return x_next, gamma, theta
 
 
-def _safeguard_case(gamma, beta):
-    # Branch order follows the safeguarding scheme literally: the
-    # gamma == 0 / gamma >= 1 test comes first, so sign(gamma) below is
-    # only ever taken for gamma != 0.
-    if gamma == 0.0 or gamma >= 1.0:
-        return "gamma_zero_or_ge_one", 0.0
-    if abs(gamma) / abs(1.0 - gamma) > beta:
-        sign = 1.0 if gamma > 0.0 else -1.0
-        return "ratio_exceeded", beta / (gamma * (beta + sign))
-    return "pass_through", 1.0
+def gamma_safeguard(gamma, eta, r):
+    """Safeguard decision for mixing coefficient gamma, gate beta = r * eta.
 
-
-def _step_ratio(w_next, w_prev, name, r, norm):
-    """Validate the safeguard parameter and return eta = |w_next| / |w_prev|."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {r}")
-    wp = float(norm(np.asarray(w_prev, dtype=float)))
-    if wp <= 0.0:
-        raise ValueError("previous step norm must be positive")
-    return float(norm(np.asarray(w_next, dtype=float))) / wp
-
-
-def _decision(gamma, eta, r_used):
-    beta = r_used * eta
-    case, lam = _safeguard_case(gamma, beta)
-    # _safeguard_case pairs each case with its lambda, in [0, 1]
-    return tuple.__new__(SafeguardDecision, (case, lam, eta, r_used, beta))
-
-
-def gamma_safeguard(w_next, w_prev, gamma, r, norm=np.linalg.norm):
-    """Fixed-parameter safeguard with gate beta = r * |w_next| / |w_prev|.
-
+    eta = |w_next| / |w_prev| is the ratio of consecutive Newton step norms.
     Scales the mixing coefficient by lambda: lambda = 0 when gamma is 0 or
     at least 1; lambda = beta / (gamma * (beta + sign(gamma))) when
     |gamma| / |1 - gamma| exceeds beta; lambda = 1 otherwise.
     """
-    return _decision(gamma, _step_ratio(w_next, w_prev, "r", r, norm), r)
+    # a NaN r passes: it is the step ratio of a non-finite step, which diverges
+    if r <= 0.0 or r >= 1.0:
+        raise ValueError(f"r must lie in (0, 1), got {r}")
+    beta = r * eta
+    # Branch order follows the safeguarding scheme literally: the
+    # gamma == 0 / gamma >= 1 test comes first, so sign(gamma) below is
+    # only ever taken for gamma != 0.
+    if gamma == 0.0 or gamma >= 1.0:
+        case, lam = "gamma_zero_or_ge_one", 0.0
+    elif abs(gamma) / abs(1.0 - gamma) > beta:
+        sign = 1.0 if gamma > 0.0 else -1.0
+        # below 1 in exact arithmetic; rounding in beta + sign can exceed it
+        case, lam = "ratio_exceeded", min(beta / (gamma * (beta + sign)), 1.0)
+    else:
+        case, lam = "pass_through", 1.0
+    # unchecked construction: each case above comes with its lambda, in [0, 1]
+    return tuple.__new__(SafeguardDecision, (case, lam, eta, r, beta))
 
 
-def adaptive_gamma_safeguard(w_next, w_prev, gamma, r_hat, norm=np.linalg.norm):
-    """Adaptive safeguard with r_used = min(eta, r_hat) and beta = r_used * eta.
+def adaptive_gamma_safeguard(gamma, eta, r_hat):
+    """Adaptive safeguard: ``gamma_safeguard`` with r_used = min(eta, r_hat).
 
-    Identical branch structure to ``gamma_safeguard``; only the gate
-    adapts.  Since r_used <= r_hat this safeguards at least as strictly as
-    the fixed scheme at equal eta.
+    Only the gate adapts.  Since r_used <= r_hat this safeguards at least as
+    strictly as the fixed scheme at equal eta.
     """
-    eta = _step_ratio(w_next, w_prev, "r_hat", r_hat, norm)
-    return _decision(gamma, eta, min(eta, r_hat))
+    if not 0.0 < r_hat < 1.0:
+        raise ValueError(f"r_hat must lie in (0, 1), got {r_hat}")
+    return gamma_safeguard(gamma, eta, min(eta, r_hat))
 
 
-def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fx=None):
-    """Backtracking linesearch on 0.5*|f|^2 along ``direction``.
+def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fnorm):
+    """Backtracking linesearch on 0.5*|f|^2 along the float array ``direction``.
 
-    Tries t = 1, shrink, shrink^2, ... (at most ``max_backtracks`` trials)
-    and returns ``(t, accepted)`` for the first t satisfying
-    0.5*|f(x + t d)|^2 <= 0.5*|f(x)|^2 - c1 * t * |f(x)|^2.  When no trial
-    is accepted the last trial t is returned with ``accepted = False`` so
-    the caller can flag the record.  ``fx`` is f(x) when the caller already
-    holds it; otherwise it is evaluated here.
+    Tries t = 1, shrink, shrink^2, ... (at most ``max_backtracks`` trials) for
+    the first t with 0.5*|f(x + t d)|^2 <= 0.5*|f(x)|^2 - c1 * t * |f(x)|^2,
+    given ``fnorm`` = |f(x)|.  Returns ``(t, accepted, x_t, f_t)``: the step
+    length, whether it was accepted, the trial point x + t*d and its
+    residual.  When no trial is accepted the last trial is returned with
+    ``accepted = False`` so the caller can flag the record.
     """
-    d = np.asarray(direction, dtype=float)
-    if not np.all(np.isfinite(d)) or not np.any(d):
+    if not (_all_finite(direction) and np.count_nonzero(direction)):
         raise ValueError("direction must be finite and nonzero")
-    x = np.asarray(x, dtype=float)
-    if fx is None:
-        fx = _residual(p, x)
-    fn = float(np.linalg.norm(fx))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _backtrack(p, x, d, c1, shrink, max_backtracks, fn)[:2]
-
-
-def _backtrack(p, x, d, c1, shrink, max_backtracks, fn):
-    """``armijo_backtrack`` given fn = |f(x)|; also returns the last trial
-    point and its residual, so the caller need not evaluate them again."""
-    fn2 = fn**2
+    fn2 = fnorm**2
     t = 1.0
     xt = ft = None
     for i in range(max_backtracks):
         if i:
             t *= shrink
-        xt = x + t * d
+        xt = x + t * direction
         ft = _residual(p, xt)
         # a non-finite ft gives an inf or NaN ft @ ft, which fails the test
         if 0.5 * float(ft @ ft) <= 0.5 * fn2 - c1 * t * fn2:
@@ -409,10 +347,11 @@ def _backtrack(p, x, d, c1, shrink, max_backtracks, fn):
     return t, False, xt, ft
 
 
-def _residual(p, x, order=None):
-    """``p.residual(x)`` as a float array in ``order``; ValueError unless it
-    has the shape of x, so a malformed residual fails where it is returned."""
-    f = np.asarray(p.residual(x), dtype=float, order=order)
+def _residual(p, x):
+    """``p.residual(x)`` as a C-contiguous float array, the layout on which
+    ``_norm`` equals ``np.linalg.norm``; ValueError unless it has the shape
+    of x, so a malformed residual fails where it is returned."""
+    f = np.asarray(p.residual(x), dtype=float, order="C")
     if f.shape != x.shape:
         raise ValueError(f"residual returned shape {f.shape}, expected {x.shape}")
     return f
@@ -476,11 +415,8 @@ def solve(p, x0, cfg):
     # the solve through its tests, so the warnings are not wanted.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            # C order: _norm equals np.linalg.norm only on contiguous arrays
             if f is None:
-                f = _residual(p, x, "C")
-            else:
-                f = np.asarray(f, order="C")
+                f = _residual(p, x)
             # the norm is non-finite exactly when f is (or |f| overflows)
             rnorm = nrm(f)
             if not (_all_finite(x) and rnorm < cfg.divergence_cap):
@@ -492,8 +428,9 @@ def solve(p, x0, cfg):
             if k >= cfg.max_iter:
                 status = "max_iter"
                 break
+            J = p.jacobian(x)
             try:
-                w = solve_linear(p.jacobian(x), -f)
+                w = solve_linear(J, -f)
             except SingularMatrix:
                 status = "singular_jacobian"
                 break
@@ -501,6 +438,13 @@ def solve(p, x0, cfg):
                 # the rhs -f is finite here, so the Jacobian is not
                 status = "diverged"
                 break
+            except ValueError:
+                # solve_linear rejects every J that is not n-by-n; name the source
+                if np.shape(J) != x.shape * 2:
+                    raise ValueError(
+                        f"jacobian returned shape {np.shape(J)}, expected {x.shape * 2}"
+                    ) from None
+                raise
             step_norm = nrm(w)
             if step_norm == 0.0:
                 # zero step with nonzero residual: solved to machine level
@@ -513,7 +457,7 @@ def solve(p, x0, cfg):
             if cfg.switch_to_m1_at is not None and step_norm < cfg.switch_to_m1_at:
                 m1_switched = True
 
-            gamma = lam = r_used = beta = theta = theta_lam = decision = None
+            gamma = theta = theta_lam = decision = None
             prev = records[-1] if records else None
             eta = step_norm / prev.step_norm if prev is not None else None
 
@@ -524,8 +468,8 @@ def solve(p, x0, cfg):
                     window = records[-cfg.m:]
                     iterates = [rec.x for rec in window] + [x]
                     steps = [rec.w for rec in window] + [w]
-                    x_next, gamma, theta = _na_m_update(
-                        iterates, steps, cfg.m, lt, nrm, step_norm
+                    x_next, gamma, theta = na_m_update(
+                        iterates, steps, cfg.m, step_norm, lt
                     )
                     theta_lam = theta
                     decision = _NOT_APPLIED
@@ -537,42 +481,37 @@ def solve(p, x0, cfg):
                 d = w - prev.w
                 lw = w if lt is None else lt @ w
                 ld = d if lt is None else lw - lt @ prev.w
-                gamma = _mixing_coefficient(lw, ld, step_norm + prev.step_norm)
+                gamma = anderson_gamma_1(lw, ld, step_norm + prev.step_norm)
                 if cfg.method == "gna" and safeguarded:
-                    decision = _decision(gamma, eta, cfg.r)
+                    decision = gamma_safeguard(gamma, eta, cfg.r)
                 elif safeguarded or m1_switched:  # agna, or na after the switch
-                    decision = _decision(gamma, eta, min(eta, cfg.r_hat))
+                    decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
                 else:
                     decision = _NOT_APPLIED
-                lam_used = decision.lambda_value
-                x_next = _na_update(x, prev.x, w, prev.w, gamma, lam_used)
+                lam = decision.lambda_value
+                x_next = na_update(x, prev.x, w, prev.w, gamma, lam)
                 theta = nrm(w - gamma * d) / step_norm
                 theta_lam = (
-                    theta if lam_used == 1.0
-                    else nrm(w - (lam_used * gamma) * d) / step_norm
+                    theta if lam == 1.0
+                    else nrm(w - (lam * gamma) * d) / step_norm
                 )
-                if decision is not _NOT_APPLIED:
-                    lam = lam_used
-                    r_used = decision.r_used
-                    beta = decision.beta
 
             ls_t = f_next = None
             ls_ok = True
             if cfg.linesearch is not None:
                 dx = x_next - x
                 # a non-finite step is left to the divergence test at the loop top
-                if dx.any() and _all_finite(dx):
+                if np.count_nonzero(dx) and _all_finite(dx):
                     ls = cfg.linesearch
                     fn = rnorm if lt is None else _norm(f)
-                    ls_t, ls_ok, x_next, f_next = _backtrack(
+                    ls_t, ls_ok, x_next, f_next = armijo_backtrack(
                         p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, fn
                     )
 
-            # in field order, unchecked: lam is a decision's lambda, in [0, 1]
-            records.append(tuple.__new__(IterationRecord, (
-                k, x, w, rnorm, step_norm, gamma, lam, eta, r_used, beta,
-                theta, theta_lam, decision, ls_t, ls_ok,
-            )))
+            records.append(IterationRecord(
+                k, x, w, rnorm, step_norm, gamma, eta, theta, theta_lam,
+                decision, ls_t, ls_ok,
+            ))
             x, f = x_next, f_next
             k += 1
 

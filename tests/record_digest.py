@@ -1,0 +1,208 @@
+"""Bitwise fingerprint of solver output over a fixed set of solves.
+
+Prints one sha256 per group of solves and one over all of them.  Each solve
+contributes every field of every IterationRecord (and of its
+SafeguardDecision), the status, the iteration count and ``x_final``, or the
+type and message of the exception it raised.  Floats and arrays enter as
+their bytes and type names, so two checkouts print the same digests exactly
+when their solves agree bit for bit.  Use it to show that a refactor leaves
+every number unchanged:
+
+    PYTHONPATH=src python tests/record_digest.py
+    PYTHONPATH=/path/to/other/checkout/src python tests/record_digest.py
+
+The script reads only the public API (attribute names, not tuple positions),
+so it runs unchanged on checkouts whose record layout differs.  The
+micro_2x2 starts come from ``bench/workloads.py`` of the checkout the script
+lives in.  Pytest does not collect this file.
+"""
+
+import os
+
+# one BLAS thread, so that dense products sum in a fixed order
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import struct  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import nasolve  # noqa: E402
+from nasolve import (  # noqa: E402
+    ArmijoConfig,
+    NonlinearProblem,
+    SolverConfig,
+    make_bratu_1d,
+    make_chandrasekhar,
+    make_singular_quadratic,
+    solve,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+RECORD_ATTRS = (
+    "k", "x", "w", "residual_norm", "step_norm", "gamma", "lam", "eta", "r_used",
+    "beta", "theta", "theta_lambda", "decision", "ls_t", "ls_ok",
+)
+DECISION_ATTRS = ("case", "lambda_value", "eta", "r_used", "beta")
+
+
+def _feed(h, value):
+    """Hash a value with its type, so 1.0, np.float64(1.0) and 1 differ."""
+    h.update(type(value).__name__.encode() + b":")
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+    elif isinstance(value, (float, np.floating)):
+        h.update(struct.pack("<d", value))
+    elif isinstance(value, (bool, int, str, np.integer, np.bool_)) or value is None:
+        h.update(repr(value).encode())
+    elif hasattr(value, "lambda_value"):
+        for name in DECISION_ATTRS:
+            _feed(h, getattr(value, name))
+    else:
+        raise TypeError(f"no digest rule for {type(value).__name__}")
+    h.update(b";")
+
+
+def _feed_solve(h, p, x0, cfg):
+    try:
+        report = solve(p, x0, cfg)
+    except Exception as exc:  # a raised error is part of the behaviour
+        _feed(h, f"raised {type(exc).__name__}: {exc}")
+        return
+    _feed(h, report.status)
+    _feed(h, report.iterations)
+    _feed(h, report.x_final)
+    for rec in report.records:
+        for name in RECORD_ATTRS:
+            _feed(h, getattr(rec, name))
+
+
+MATRIX_CONFIGS = (
+    SolverConfig(method="newton"),
+    SolverConfig(method="newton", tol=1e-8),
+    SolverConfig(method="newton", linesearch=ArmijoConfig()),
+    SolverConfig(method="na", m=1),
+    SolverConfig(method="na", m=2),
+    SolverConfig(method="na", m=3),
+    SolverConfig(method="na", m=3, switch_to_m1_at=1e-3),
+    SolverConfig(method="gna", r=0.1),
+    SolverConfig(method="gna", r=0.5),
+    SolverConfig(method="gna", r=0.9),
+    SolverConfig(method="agna", r_hat=0.1),
+    SolverConfig(method="agna", r_hat=0.5),
+    SolverConfig(method="agna", r_hat=0.9),
+    SolverConfig(method="agna", r_hat=0.9, activation="asymptotic"),
+)
+
+
+def _overflow_problems():
+    """Problems whose steps overflow, from the solver tests."""
+    big = 1.5e308
+    return (
+        NonlinearProblem(
+            "overflow_step", 1, lambda x: np.array([1e150]),
+            lambda x: np.array([[1e-200]]), np.zeros(1),
+        ),
+        NonlinearProblem(
+            "overflow_mixed_step", 1,
+            lambda x: np.array([1.0 if x[0] == 1.0 else 1e150]),
+            lambda x: np.array([[1.0 if x[0] == 1.0 else 1e-200]]), np.ones(1),
+        ),
+        NonlinearProblem(
+            "overflow_difference", 1,
+            lambda x: np.array([-big if x[0] == 0.0 else big]),
+            lambda x: np.eye(1), np.zeros(1),
+        ),
+    )
+
+
+def groups():
+    """(name, [(problem, x0, cfg), ...]) for every group of solves."""
+    sq = make_singular_quadratic()
+    for seed in (1, 2, 3):
+        inp = workloads.micro_inputs(np.random.default_rng(seed), False)
+        yield f"micro_2x2 seed {seed}", [
+            (sq, x0, cfg) for x0 in inp["starts"] for cfg in inp["configs"]
+        ]
+
+    matrix = (sq, make_chandrasekhar(1.0, 40), make_bratu_1d(1.0, 40))
+    for weighted in (False, True):
+        jobs = []
+        for p in matrix:
+            weight = np.diag(np.linspace(1.0, 3.0, p.dimension)) if weighted else None
+            for cfg in MATRIX_CONFIGS:
+                cfg = dataclasses.replace(cfg, norm_weight=weight)
+                jobs.append((p, p.default_start, cfg))
+        yield f"3 problems x {len(MATRIX_CONFIGS)} configs, weighted={weighted}", jobs
+
+    bratu3 = make_bratu_1d(3.0, 20)
+    kicked = bratu3.default_start.copy()
+    kicked[5] = 5.0  # makes the linesearch backtrack
+    ch = make_chandrasekhar(1.0, 20)
+    ls = ArmijoConfig()
+    tight = ArmijoConfig(c1=0.5, max_backtracks=2)
+    yield "linesearch, depth, switch, activation, max_iter", [
+        (bratu3, kicked, SolverConfig(method="agna", linesearch=ls)),
+        (bratu3, kicked, SolverConfig(method="newton", linesearch=ls)),
+        (bratu3, kicked, SolverConfig(method="na", m=2, linesearch=ls)),
+        (bratu3, kicked, SolverConfig(method="na", m=3, linesearch=ls)),
+        (bratu3, kicked, SolverConfig(method="gna", linesearch=tight)),
+        (sq, np.ones(2), SolverConfig(method="na", m=3, linesearch=tight)),
+        (ch, ch.default_start, SolverConfig(method="na", m=2)),
+        (ch, ch.default_start,
+         SolverConfig(method="na", m=3, switch_to_m1_at=1e-1, r_hat=0.9)),
+        (ch, ch.default_start,
+         SolverConfig(method="agna", activation="asymptotic", threshold=1e-2)),
+        (ch, ch.default_start, SolverConfig(method="gna", activation="asymptotic")),
+        (ch, ch.default_start, SolverConfig(method="agna", max_iter=3)),
+        (ch, ch.default_start, SolverConfig(method="na", m=3, max_iter=4)),
+        (make_chandrasekhar(0.5, 100), np.zeros(100),
+         SolverConfig(method="agna", r_hat=0.1, tol=1e-12)),
+        (sq, np.array([0.0, 5.0]), SolverConfig()),  # singular Jacobian
+    ]
+
+    jobs = [(make_bratu_1d(1.0, 10), np.full(10, 800.0), SolverConfig(method=method))
+            for method in ("newton", "na", "agna")]
+    jobs.append((make_bratu_1d(1.0, 10), np.full(10, 10.0),
+                 SolverConfig(method="agna", divergence_cap=1e2)))
+    for p in _overflow_problems():
+        for cfg in (
+            SolverConfig(),
+            SolverConfig(linesearch=ls),
+            SolverConfig(method="na", m=1),
+            SolverConfig(method="na", m=2),
+            SolverConfig(method="na", m=3, linesearch=ls),
+            SolverConfig(method="agna"),
+            SolverConfig(method="na", m=2, norm_weight=np.diag([1e-310])),
+        ):
+            cfg = dataclasses.replace(cfg, divergence_cap=np.inf)
+            jobs.append((p, p.default_start, cfg))
+    yield "overflow and divergence", jobs
+
+
+def main():
+    total = hashlib.sha256()
+    count = 0
+    with warnings.catch_warnings():
+        # far starts divide by zero in residuals; the values are what counts
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, jobs in groups():
+            h = hashlib.sha256()
+            for p, x0, cfg in jobs:
+                _feed_solve(h, p, x0, cfg)
+            count += len(jobs)
+            total.update(h.digest())
+            print(f"{h.hexdigest()}  {len(jobs):5d} solves  {name}")
+    where = Path(nasolve.__file__).parent
+    print(f"{total.hexdigest()}  {count:5d} solves  all (nasolve from {where})")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,8 +24,8 @@ from nasolve import (
     make_chandrasekhar,
     make_singular_quadratic,
     na_m_update,
-    newton_step,
     solve,
+    solve_linear,
 )
 from nasolve.harness import ExperimentSpec, emit_history, run_experiment
 from nasolve.oracle import fold_sweep, gamma_grid_oracle, safeguard_case_oracle
@@ -108,8 +108,9 @@ def test_criterion_2_gamma_optimality(matrix_reports):
         for trial in range(1000):
             w_next = rng.standard_normal(3)
             w_prev = rng.standard_normal(3)
-            gamma = anderson_gamma_1(w_next, w_prev)
             d = w_next - w_prev
+            scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
+            gamma = anderson_gamma_1(w_next, d, scale)
             closed = float(d @ w_next) / float(d @ d)
             assert abs(gamma - closed) <= 1e-14 * (1.0 + abs(closed))
             best = gamma_grid_oracle(
@@ -131,11 +132,9 @@ def test_criterion_3_differential_safeguard():
         rng = np.random.default_rng(101)
         betas = rng.uniform(1e-9, 1.0 - 1e-9, size=100_000)
         gammas = rng.uniform(-3.0, 3.0, size=100_000)
-        w_prev = np.array([1.0, 0.0])
-        w_next = np.array([0.0, 0.0])
         for beta, gamma in zip(betas, gammas):
-            w_next[0] = 2.0 * beta
-            dec = gamma_safeguard(w_next, w_prev, gamma, r=0.5)
+            # the gate r * eta is beta exactly
+            dec = gamma_safeguard(gamma, eta=2.0 * beta, r=0.5)
             assert abs(dec.lambda_value - safeguard_case_oracle(gamma, beta)) <= 1e-14
 
 
@@ -206,8 +205,8 @@ def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
             make_bratu_1d(1.0, 50),
         )
         with monkeypatch.context() as mp:
-            # every safeguarded step of solve() takes its decision from _decision
-            mp.setattr(solver_mod, "_decision", lambda *a, **k: zero)
+            mp.setattr(solver_mod, "gamma_safeguard", lambda *a, **k: zero)
+            mp.setattr(solver_mod, "adaptive_gamma_safeguard", lambda *a, **k: zero)
             for p in problems:
                 ref = solve(p, p.default_start, SolverConfig(method="newton"))
                 for method in ("gna", "agna"):
@@ -221,11 +220,11 @@ def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
             x = p.default_start.copy()
             xs, ws = [x], []
             for _ in range(rep.iterations):
-                w, _ = newton_step(p, x)
+                w = solve_linear(p.jacobian(x), -p.residual(x))
                 if not ws:
                     x = x + w
                 else:
-                    x, _, _ = na_m_update(xs, ws + [w], 1)
+                    x, _, _ = na_m_update(xs, ws + [w], 1, np.linalg.norm(w), None)
                 ws.append(w)
                 xs.append(x)
             for rec, x_ref in zip(rep.records, xs):

@@ -6,6 +6,7 @@ from nasolve import (
     IterationRecord,
     MissingGroundTruth,
     OrderUndefined,
+    SafeguardDecision,
     SolverConfig,
     decompose_errors,
     estimate_order,
@@ -72,7 +73,9 @@ def synthetic_report(xs=None, ws=None, r_used=None):
                 w=w,
                 residual_norm=1.0,
                 step_norm=max(float(np.linalg.norm(w)), 1e-3),
-                r_used=None if r_used is None else r_used[k],
+                decision=None if r_used is None else SafeguardDecision(
+                    "ratio_exceeded", 0.5, r_used=r_used[k]
+                ),
             )
         )
     return ConvergenceReport(records=tuple(records), status="converged",

@@ -22,7 +22,8 @@ class TestGammaGridOracle:
         for _ in range(50):
             w_next = rng.standard_normal(4)
             w_prev = rng.standard_normal(4)
-            gamma = anderson_gamma_1(w_next, w_prev)
+            scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
+            gamma = anderson_gamma_1(w_next, w_next - w_prev, scale)
             best = gamma_grid_oracle(w_next, w_prev, gamma - 1.0, gamma + 1.0, 1e-4)
             assert abs(best - gamma) <= 1e-4
 
@@ -57,12 +58,11 @@ class TestSafeguardCaseOracle:
 
     def test_differential_against_solver(self):
         rng = np.random.default_rng(32)
-        w_prev = np.array([1.0, 0.0])
         for _ in range(1000):
             beta = rng.uniform(1e-6, 1.0 - 1e-6)
             gamma = rng.uniform(-3.0, 3.0)
-            w_next = np.array([2.0 * beta, 0.0])
-            dec = gamma_safeguard(w_next, w_prev, gamma, r=0.5)
+            # the gate r * eta is beta exactly
+            dec = gamma_safeguard(gamma, eta=2.0 * beta, r=0.5)
             assert abs(dec.lambda_value - safeguard_case_oracle(gamma, beta)) <= 1e-14
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import re
 import warnings
@@ -25,47 +26,42 @@ from nasolve import (
     make_singular_quadratic,
     na_m_update,
     na_update,
-    newton_step,
     solve,
+    solve_linear,
 )
 from nasolve.oracle import gamma_grid_oracle
 
 
-class TestNewtonStep:
-    def test_diagonal_solve(self):
-        p = make_singular_quadratic()
-        w, rnorm = newton_step(p, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(w, [-0.5, -1.0], rtol=0, atol=0)
-        assert rnorm == pytest.approx(np.sqrt(2.0))
+def newton_direction(p, x):
+    """The Newton step w solving f'(x) w = -f(x)."""
+    return solve_linear(p.jacobian(x), -np.asarray(p.residual(x), dtype=float))
 
-    def test_zero_at_root(self):
-        p = make_bratu_1d(0.0, 10)
-        w, rnorm = newton_step(p, np.zeros(10))
-        np.testing.assert_array_equal(w, np.zeros(10))
-        assert rnorm == 0.0
 
-    def test_matches_dense_lu_oracle(self):
-        p = make_chandrasekhar(0.5, 10)
-        x = np.ones(10)
-        w, _ = newton_step(p, x)
-        w_ref = np.linalg.solve(p.jacobian(x), -p.residual(x))
-        assert np.max(np.abs(w - w_ref)) <= 1e-12
+def gamma_1(w_next, w_prev):
+    """``anderson_gamma_1`` from the two steps."""
+    scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
+    return anderson_gamma_1(w_next, w_next - w_prev, scale)
+
+
+def na_m(iterates, steps, m):
+    """``na_m_update`` in the Euclidean norm."""
+    return na_m_update(iterates, steps, m, np.linalg.norm(steps[-1]), None)
 
 
 class TestAndersonGamma1:
     def test_orthogonal_pair(self):
-        assert anderson_gamma_1(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
+        assert gamma_1(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
 
     def test_degenerate_equal_steps(self):
         w = np.array([0.3, -0.7])
-        assert anderson_gamma_1(w, w.copy()) == 0.0
+        assert gamma_1(w, w.copy()) == 0.0
 
     def test_matches_wide_grid_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
             w_next = rng.standard_normal(3)
             w_prev = rng.standard_normal(3)
-            gamma = anderson_gamma_1(w_next, w_prev)
+            gamma = gamma_1(w_next, w_prev)
             assert abs(gamma) < 10.0
             best = gamma_grid_oracle(w_next, w_prev, -10.0, 10.0, 1e-4)
             assert abs(gamma - best) <= 1e-4
@@ -74,7 +70,7 @@ class TestAndersonGamma1:
         # w_next parallel to w_next - w_prev: the mixed step vanishes
         w_next = np.array([1.0, 0.0])
         w_prev = np.array([2.0, 0.0])
-        gamma = anderson_gamma_1(w_next, w_prev)
+        gamma = gamma_1(w_next, w_prev)
         assert gamma == -1.0
         mixed = w_next - gamma * (w_next - w_prev)
         assert np.linalg.norm(mixed) == 0.0
@@ -123,8 +119,8 @@ class TestNaMUpdate:
         for _ in range(10):
             x_km1, x_k = rng.standard_normal(4), rng.standard_normal(4)
             w_prev, w_next = rng.standard_normal(4), rng.standard_normal(4)
-            x_m, gamma_m, _ = na_m_update([x_km1, x_k], [w_prev, w_next], 1)
-            gamma = anderson_gamma_1(w_next, w_prev)
+            x_m, gamma_m, _ = na_m([x_km1, x_k], [w_prev, w_next], 1)
+            gamma = gamma_1(w_next, w_prev)
             x_s = na_update(x_k, x_km1, w_next, w_prev, gamma, 1.0)
             scale = 1.0 + np.linalg.norm(x_s)
             assert np.linalg.norm(x_m - x_s) / scale <= 1e-14
@@ -134,7 +130,7 @@ class TestNaMUpdate:
         rng = np.random.default_rng(14)
         xs = [rng.standard_normal(3) for _ in range(2)]
         ws = [rng.standard_normal(3) for _ in range(2)]
-        _, gamma, _ = na_m_update(xs, ws, m=5)
+        _, gamma, _ = na_m(xs, ws, m=5)
         assert gamma.shape == (1,)
 
     def test_window_clamped_to_dimension(self):
@@ -142,8 +138,8 @@ class TestNaMUpdate:
         rng = np.random.default_rng(15)
         xs = [rng.standard_normal(2) for _ in range(5)]
         ws = [rng.standard_normal(2) for _ in range(5)]
-        x_next, gamma, _ = na_m_update(xs, ws, m=4)
-        ref = na_m_update(xs[-3:], ws[-3:], m=2)
+        x_next, gamma, _ = na_m(xs, ws, m=4)
+        ref = na_m(xs[-3:], ws[-3:], m=2)
         assert gamma.shape == (2,)
         assert x_next.tobytes() == ref[0].tobytes()
         assert gamma.tobytes() == ref[1].tobytes()
@@ -165,72 +161,67 @@ class TestNaMUpdate:
         x_km1 = np.array([1.0, 2.0])
         x_k = np.array([0.5, 1.0])
         w = np.array([0.25, -0.5])
-        x_next, gamma, theta = na_m_update([x_km1, x_k], [w, w.copy()], 1)
+        x_next, gamma, theta = na_m([x_km1, x_k], [w, w.copy()], 1)
         np.testing.assert_array_equal(gamma, [0.0])
         np.testing.assert_array_equal(x_next, x_k + w)
         assert theta == 1.0
 
     def test_needs_history(self):
         with pytest.raises(ValueError):
-            na_m_update([np.zeros(2)], [np.zeros(2)], 1)
-
-
-def beta_vectors(beta, r=0.5):
-    """Step pair whose safeguard gate equals beta for the given r."""
-    return np.array([beta / r, 0.0]), np.array([1.0, 0.0])
+            na_m_update([np.zeros(2)], [np.zeros(2)], 1, 0.0, None)
 
 
 class TestGammaSafeguard:
+    # with r = 0.5 the gate beta = r * eta is eta / 2
     def test_gamma_above_one_scales_to_newton(self):
-        w_next, w_prev = beta_vectors(0.25)
-        dec = gamma_safeguard(w_next, w_prev, gamma=1.5, r=0.5)
+        dec = gamma_safeguard(gamma=1.5, eta=0.5, r=0.5)
         assert dec.case == "gamma_zero_or_ge_one"
         assert dec.lambda_value == 0.0
 
     def test_ratio_branch_hand_value(self):
         # gamma=0.5, beta=0.25: |g|/|1-g| = 1 > 0.25, lambda = 0.25/(0.5*1.25)
-        w_next, w_prev = beta_vectors(0.25)
-        dec = gamma_safeguard(w_next, w_prev, gamma=0.5, r=0.5)
+        dec = gamma_safeguard(gamma=0.5, eta=0.5, r=0.5)
         assert dec.case == "ratio_exceeded"
         assert dec.lambda_value == pytest.approx(0.4, abs=1e-15)
         assert dec.lambda_value * 0.5 == pytest.approx(0.25 / 1.25, abs=1e-15)
 
+    def test_ratio_branch_lambda_rounding_capped_at_one(self):
+        # the gate's formula rounds to 1.0000000000000002 here
+        gamma, beta = 0.19229774911805858, 0.23807999656814868
+        assert beta / (gamma * (beta + 1.0)) > 1.0
+        dec = gamma_safeguard(gamma, eta=2.0 * beta, r=0.5)
+        assert (dec.case, dec.lambda_value, dec.beta) == ("ratio_exceeded", 1.0, beta)
+        SafeguardDecision(*dec)
+
     def test_pass_through(self):
-        w_next, w_prev = beta_vectors(0.5)
-        dec = gamma_safeguard(w_next, w_prev, gamma=0.1, r=0.5)
+        dec = gamma_safeguard(gamma=0.1, eta=1.0, r=0.5)
         assert dec.case == "pass_through"
         assert dec.lambda_value == 1.0
 
     def test_preconditions(self):
-        w_next, w_prev = beta_vectors(0.25)
-        with pytest.raises(ValueError):
-            gamma_safeguard(w_next, w_prev, 0.5, r=1.0)
-        with pytest.raises(ValueError):
-            gamma_safeguard(w_next, np.zeros(2), 0.5, r=0.5)
+        for r in (0.0, -0.5, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"r must lie in \(0, 1\)"):
+                gamma_safeguard(0.5, 0.5, r)
+            with pytest.raises(ValueError, match=r"r_hat must lie in \(0, 1\)"):
+                adaptive_gamma_safeguard(0.5, 0.5, r)
 
 
 class TestAdaptiveGammaSafeguard:
     def test_eta_below_cap(self):
-        dec = adaptive_gamma_safeguard(
-            np.array([0.2, 0.0]), np.array([1.0, 0.0]), gamma=0.01, r_hat=0.9
-        )
+        dec = adaptive_gamma_safeguard(gamma=0.01, eta=0.2, r_hat=0.9)
         assert dec.eta == pytest.approx(0.2, abs=1e-15)
         assert dec.r_used == pytest.approx(0.2, abs=1e-15)
         assert dec.beta == pytest.approx(0.04, abs=1e-15)
 
     def test_eta_above_one_records_beta_as_is(self):
-        dec = adaptive_gamma_safeguard(
-            np.array([2.0, 0.0]), np.array([1.0, 0.0]), gamma=-0.3, r_hat=0.5
-        )
+        dec = adaptive_gamma_safeguard(gamma=-0.3, eta=2.0, r_hat=0.5)
         assert dec.eta == pytest.approx(2.0, abs=1e-15)
         assert dec.r_used == 0.5
         assert dec.beta == pytest.approx(1.0, abs=1e-15)
 
     def test_gamma_at_least_one_always_zero(self):
         for eta in (0.1, 1.0, 5.0):
-            dec = adaptive_gamma_safeguard(
-                np.array([eta, 0.0]), np.array([1.0, 0.0]), gamma=1.0, r_hat=0.5
-            )
+            dec = adaptive_gamma_safeguard(gamma=1.0, eta=eta, r_hat=0.5)
             assert dec.lambda_value == 0.0
 
     def test_adaptive_dominance(self):
@@ -241,8 +232,9 @@ class TestAdaptiveGammaSafeguard:
             w_prev = rng.standard_normal(3)
             r_hat = rng.uniform(0.05, 0.95)
             gamma = rng.uniform(-2, 2)
-            ada = adaptive_gamma_safeguard(w_next, w_prev, gamma, r_hat)
-            fix = gamma_safeguard(w_next, w_prev, gamma, r_hat)
+            eta = np.linalg.norm(w_next) / np.linalg.norm(w_prev)
+            ada = adaptive_gamma_safeguard(gamma, eta, r_hat)
+            fix = gamma_safeguard(gamma, eta, r_hat)
             assert ada.r_used <= r_hat
             assert ada.beta <= fix.beta + 1e-15
 
@@ -260,9 +252,12 @@ class TestArmijoBacktrack:
             default_start=np.zeros(4),
         )
         x = np.zeros(4)
-        d, _ = newton_step(p, x)
-        t, ok = armijo_backtrack(p, x, d, c1=1e-4, shrink=0.5, max_backtracks=30)
+        d = newton_direction(p, x)
+        t, ok, xt, _ = armijo_backtrack(
+            p, x, d, c1=1e-4, shrink=0.5, max_backtracks=30, fnorm=np.linalg.norm(b)
+        )
         assert ok and t == 1.0
+        np.testing.assert_array_equal(xt, x + d)
 
     def test_given_residual_is_not_reevaluated(self):
         points = []
@@ -279,17 +274,16 @@ class TestArmijoBacktrack:
             default_start=np.ones(1),
         )
         x, d = np.array([1.0]), np.array([10.0])
-        fresh = armijo_backtrack(p, x, d, 1e-4, 0.5, 3)
-        assert points == [1.0, 11.0, 6.0, 3.5]
-        points.clear()
-        given = armijo_backtrack(p, x, d, 1e-4, 0.5, 3, np.array([1.0]))
-        assert given == fresh
+        t, ok, xt, ft = armijo_backtrack(p, x, d, 1e-4, 0.5, 3, 1.0)
+        assert (t, ok) == (0.25, False)
         assert points == [11.0, 6.0, 3.5]  # trial points only
+        # the last trial point and its residual come back for reuse
+        assert (xt.tolist(), ft.tolist()) == ([3.5], [12.25])
 
     def test_zero_direction_rejected(self):
         p = make_singular_quadratic()
         with pytest.raises(ValueError):
-            armijo_backtrack(p, np.ones(2), np.zeros(2), 1e-4, 0.5, 10)
+            armijo_backtrack(p, np.ones(2), np.zeros(2), 1e-4, 0.5, 10, np.sqrt(2.0))
 
     def test_scalar_quadratic_full_step(self):
         p = NonlinearProblem(
@@ -299,8 +293,9 @@ class TestArmijoBacktrack:
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             default_start=np.ones(1),
         )
-        t, ok = armijo_backtrack(
-            p, np.array([1.0]), np.array([-0.5]), c1=1e-4, shrink=0.5, max_backtracks=30
+        t, ok, _, _ = armijo_backtrack(
+            p, np.array([1.0]), np.array([-0.5]), c1=1e-4, shrink=0.5,
+            max_backtracks=30, fnorm=1.0,
         )
         assert ok and t == 1.0
 
@@ -312,8 +307,9 @@ class TestArmijoBacktrack:
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             default_start=np.ones(1),
         )
-        t, ok = armijo_backtrack(
-            p, np.array([1.0]), np.array([10.0]), c1=1e-4, shrink=0.5, max_backtracks=3
+        t, ok, _, _ = armijo_backtrack(
+            p, np.array([1.0]), np.array([10.0]), c1=1e-4, shrink=0.5,
+            max_backtracks=3, fnorm=1.0,
         )
         assert not ok
         assert t == 0.25  # last trial: shrink^(max_backtracks - 1)
@@ -347,11 +343,6 @@ class TestSolverConfigValidation:
             SafeguardDecision(case="pass_through", lambda_value=0.5)
         with pytest.raises(ValueError):
             SafeguardDecision(case="gamma_zero_or_ge_one", lambda_value=0.1)
-        with pytest.raises(ValueError):
-            IterationRecord(
-                k=0, x=np.zeros(1), w=np.zeros(1), residual_norm=1.0,
-                step_norm=1.0, lam=1.5,
-            )
 
 
 class TestSolve:
@@ -367,7 +358,7 @@ class TestSolve:
         report = solve(p, np.ones(20), SolverConfig(method="na", m=1))
         first = report.records[0]
         assert first.gamma is None and first.decision is None
-        w, _ = newton_step(p, np.ones(20))
+        w = newton_direction(p, np.ones(20))
         np.testing.assert_array_equal(report.records[1].x, np.ones(20) + w)
 
     def test_na1_beats_newton_on_singular_quadratic(self):
@@ -557,7 +548,9 @@ class TestSolve:
             jacobian=lambda x: np.eye(3),
             default_start=np.zeros(2),
         )
-        with pytest.raises(ValueError, match="rhs shape"):
+        with pytest.raises(ValueError, match=re.escape(
+            "jacobian returned shape (3, 3), expected (2, 2)"
+        )):
             solve(p, p.default_start, SolverConfig())
 
     def test_diverged_on_non_finite_tridiagonal_jacobian(self):
@@ -707,8 +700,8 @@ def test_norm_helper_equals_numpy_norm_bitwise(v):
 class TestNewtonReduction:
     def test_forced_lambda_zero_reproduces_newton_bitwise(self, monkeypatch):
         zero = SafeguardDecision(case="gamma_zero_or_ge_one", lambda_value=0.0)
-        # every safeguarded step of solve() takes its decision from _decision
-        monkeypatch.setattr(solver_mod, "_decision", lambda *a, **k: zero)
+        for name in ("gamma_safeguard", "adaptive_gamma_safeguard"):
+            monkeypatch.setattr(solver_mod, name, lambda *a, **k: zero)
         for p in (make_singular_quadratic(), make_chandrasekhar(1.0, 30)):
             ref = solve(p, p.default_start, SolverConfig(method="newton"))
             for method in ("gna", "agna"):
@@ -728,11 +721,11 @@ def manual_na_m_history(p, x0, m, tol=1e-10, max_iter=200):
     for _ in range(max_iter):
         if np.linalg.norm(p.residual(x)) <= tol:
             break
-        w, _ = newton_step(p, x)
+        w = newton_direction(p, x)
         if not ws:
             x = x + w
         else:
-            x, _, _ = na_m_update(xs, ws + [w], m)
+            x, _, _ = na_m(xs, ws + [w], m)
         ws.append(w)
         xs.append(x)
     return xs
@@ -773,16 +766,22 @@ class TestRecordTypes:
         assert (d.case, d.lambda_value, d.eta, d.r_used, d.beta) == (
             "not_applied", 1.0, None, None, None
         )
-        assert bare_record(lam=0.25, decision=d).decision is d
+        rec = bare_record(decision=d)
+        assert rec.decision is d
+        assert (rec.lam, rec.r_used, rec.beta) == (None, None, None)
+
+    def test_safeguard_fields_read_from_decision(self):
+        d = SafeguardDecision("ratio_exceeded", 0.25, eta=0.5, r_used=0.4, beta=0.2)
+        rec = bare_record(eta=0.5, decision=d)
+        assert (rec.lam, rec.r_used, rec.beta) == (0.25, 0.4, 0.2)
+        assert "lam" not in rec._fields
+        with pytest.raises(TypeError):
+            bare_record(lam=0.25)
 
     @pytest.mark.parametrize("lam", [-0.1, -1e-300, 1.0000000000000002, 1.5, np.nan])
     def test_lambda_outside_unit_interval_raises(self, lam):
         with pytest.raises(ValueError, match="lambda must lie in"):
-            bare_record(lam=lam)
-        with pytest.raises(ValueError, match="lambda must lie in"):
             SafeguardDecision(case="ratio_exceeded", lambda_value=lam)
-        with pytest.raises(ValueError, match="lambda must lie in"):
-            bare_record()._replace(lam=lam)
         d = SafeguardDecision(case="ratio_exceeded", lambda_value=0.5)
         with pytest.raises(ValueError, match="lambda must lie in"):
             d._replace(lambda_value=lam)
@@ -820,8 +819,9 @@ class TestRecordTypes:
         ids=["gna", "agna-linesearch", "na3-switch"],
     )
     def test_solve_records_pass_public_construction(self, cfg):
-        # solve() builds records and decisions without the constructor's
-        # checks; rebuilding each by keyword must neither raise nor change it
+        # solve() builds decisions without the constructor's checks;
+        # rebuilding each record and decision by keyword must neither raise
+        # nor change it
         p = make_chandrasekhar(1.0, 10)
         for rec in solve(p, p.default_start, cfg).records:
             again = IterationRecord(**rec._asdict())
@@ -864,6 +864,74 @@ def test_wrong_shape_residual_raises_where_returned(malform, where):
         solve(p, p.default_start, cfg)
     # raised by the first malformed residual, before any further evaluation
     assert len(calls) == (1 if where.endswith("start") else 2)
+
+
+MALFORMED_JACOBIANS = {
+    "non_square": lambda x: np.ones((2, 3)),
+    "vector": lambda x: np.ones(2),
+    "scalar": lambda x: 2.0,
+    "tridiagonal": lambda x: Tridiagonal(np.ones(2), np.ones(3), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_JACOBIANS)
+def test_wrong_shape_jacobian_raises(malform):
+    jacobian = MALFORMED_JACOBIANS[malform]
+    p = NonlinearProblem("malformed", 2, lambda x: x - 1.0, jacobian, np.zeros(2))
+    message = f"jacobian returned shape {np.shape(jacobian(None))}, expected (2, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(p, p.default_start, SolverConfig())
+
+
+KERNELS = (
+    "anderson_gamma_1",
+    "na_update",
+    "na_m_update",
+    "gamma_safeguard",
+    "adaptive_gamma_safeguard",
+    "armijo_backtrack",
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, called",
+    [
+        (
+            SolverConfig(method="gna"),
+            {"anderson_gamma_1", "gamma_safeguard", "na_update"},
+        ),
+        (
+            SolverConfig(method="agna"),
+            {"anderson_gamma_1", "adaptive_gamma_safeguard", "gamma_safeguard",
+             "na_update"},
+        ),
+        (SolverConfig(method="na", m=1), {"anderson_gamma_1", "na_update"}),
+        (SolverConfig(method="na", m=3), {"na_m_update"}),
+        (SolverConfig(linesearch=ArmijoConfig()), {"armijo_backtrack"}),
+    ],
+    ids=["gna", "agna", "na1", "na3", "newton-linesearch"],
+)
+def test_solve_calls_the_public_kernels(cfg, called, monkeypatch):
+    # each step formula has one definition, and solve() is its caller
+    calls = collections.Counter()
+
+    def spy(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in KERNELS:
+        monkeypatch.setattr(solver_mod, name, spy(name, getattr(solver_mod, name)))
+    p = make_chandrasekhar(1.0, 20)
+    report = solve(p, p.default_start, cfg)
+    assert report.status == "converged"
+    assert set(calls) == called
+    mixing_steps = report.iterations - 1
+    for name in called - {"armijo_backtrack"}:
+        assert calls[name] == mixing_steps, name
+    assert calls["armijo_backtrack"] in (0, report.iterations)
 
 
 STATUSES = ("converged", "diverged", "singular_jacobian", "max_iter")
