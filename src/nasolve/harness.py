@@ -41,6 +41,7 @@ __all__ = [
     "config_label",
     "emit_history",
     "run_experiment",
+    "fold_sweep",
     "main",
 ]
 
@@ -94,6 +95,8 @@ class ExperimentSpec:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.sweep is not None:
             name, start, end, step = self.sweep
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError("sweep start and end must be finite")
             if not step > 0.0:
                 raise ValueError("sweep step must be positive")
             if not start <= end:
@@ -229,6 +232,29 @@ def _sweep_values(sweep):
     return name, [start + i * step for i in range(npts)]
 
 
+def _cell_reports(spec):
+    """Solve the (sweep value x config) cells of ``spec`` in order, lazily.
+
+    Yields ``(i, value, j, cfg, report)`` for sweep cell i and config j.
+    """
+    if spec.sweep is not None:
+        sweep_name, values = _sweep_values(spec.sweep)
+        cells = [(v, {**spec.params, sweep_name: v}) for v in values]
+    else:
+        cells = [(None, dict(spec.params))]
+    warm = {}
+    for i, (value, params) in enumerate(cells):
+        problem = problem_from_id(spec.problem, params)
+        for j, cfg in enumerate(spec.configs):
+            x0 = warm.get(j) if spec.warm_start else None
+            if x0 is None:
+                x0 = initial_iterate(problem, spec.x0)
+            report = solve(problem, x0, cfg)
+            if spec.warm_start and report.status == "converged":
+                warm[j] = report.x_final
+            yield i, value, j, cfg, report
+
+
 def run_experiment(spec):
     """Run every (sweep value x config) cell of an experiment.
 
@@ -245,42 +271,51 @@ def run_experiment(spec):
     outdir.mkdir(parents=True, exist_ok=True)
     ext = spec.fmt
 
-    if spec.sweep is not None:
-        sweep_name, values = _sweep_values(spec.sweep)
-        cells = [(v, {**spec.params, sweep_name: v}) for v in values]
-    else:
-        cells = [(None, dict(spec.params))]
-
     written = []
     summary = []
-    warm = {}
-    for i, (value, params) in enumerate(cells):
-        problem = problem_from_id(spec.problem, params)
-        for j, cfg in enumerate(spec.configs):
-            x0 = warm.get(j) if spec.warm_start else None
-            if x0 is None:
-                x0 = initial_iterate(problem, spec.x0)
-            report = solve(problem, x0, cfg)
-            if spec.warm_start and report.status == "converged":
-                warm[j] = report.x_final
-            name = f"history_p{i:03d}_c{j}_{config_label(cfg)}.{ext}"
-            path = outdir / name
-            path.write_bytes(emit_history(report, ext))
-            written.append(path)
-            summary.append(
-                {
-                    "param": value,
-                    "config": config_label(cfg),
-                    "status": report.status,
-                    "iterations": report.iterations,
-                    "q_term": _finite(report.q_term),
-                }
-            )
+    for i, value, j, cfg, report in _cell_reports(spec):
+        name = f"history_p{i:03d}_c{j}_{config_label(cfg)}.{ext}"
+        path = outdir / name
+        path.write_bytes(emit_history(report, ext))
+        written.append(path)
+        summary.append(
+            {
+                "param": value,
+                "config": config_label(cfg),
+                "status": report.status,
+                "iterations": report.iterations,
+                "q_term": _finite(report.q_term),
+            }
+        )
     summary_path = outdir / f"summary.{ext}"
     summary_path.write_bytes(_table(summary, SUMMARY_COLUMNS, ext))
     written.append(summary_path)
     all_failed = all(row["status"] != "converged" for row in summary)
     return (2 if all_failed else 0), written
+
+
+def fold_sweep(n, lam_start, lam_end, lam_step, tol=1e-10, max_iter=50):
+    """Natural-parameter continuation locating the Bratu fold.
+
+    Runs the warm-started ``bratu1d`` Newton sweep of ``run_experiment``
+    (lambda from ``lam_start`` to ``lam_end`` in steps of ``lam_step``, the
+    first solve from the default iterate) until a cell fails to converge
+    within ``max_iter`` iterations.  Returns the last converged lambda, or
+    None when no solve converged.
+    """
+    spec = ExperimentSpec(
+        problem="bratu1d",
+        params={"n": n},
+        configs=(SolverConfig(method="newton", tol=tol, max_iter=max_iter),),
+        sweep=("lambda", lam_start, lam_end, lam_step),
+        warm_start=True,
+    )
+    last = None
+    for _, lam, _, _, report in _cell_reports(spec):
+        if report.status != "converged":
+            break
+        last = float(lam)
+    return last
 
 
 def _add_solver_flags(sub):
@@ -430,7 +465,7 @@ def _cmd_verify(args):
         print(f"max |closed form - grid oracle| over {args.trials} trials: {worst!r}")
         return 0 if worst <= args.step else 2
     # fold
-    lam = oracle.fold_sweep(args.n, args.start, args.end, args.step)
+    lam = fold_sweep(args.n, args.start, args.end, args.step)
     print(f"last converged lambda: {lam!r}")
     return 0 if lam is not None else 2
 

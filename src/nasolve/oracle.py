@@ -7,10 +7,7 @@ differential tests catch transcription errors in the case logic.
 
 import numpy as np
 
-from .problem import make_bratu_1d
-from .solver import SolverConfig, solve
-
-__all__ = ["gamma_grid_oracle", "safeguard_case_oracle", "fold_sweep"]
+__all__ = ["gamma_grid_oracle", "safeguard_case_oracle"]
 
 
 def gamma_grid_oracle(w_next, w_prev, lo, hi, step):
@@ -53,31 +50,3 @@ def safeguard_case_oracle(gamma, beta):
             return beta / (gamma * (beta + 1.0))
         return beta / (gamma * (beta - 1.0))
     return 1.0
-
-
-def fold_sweep(n, lam_start, lam_end, lam_step, tol=1e-10, max_iter=50):
-    """Natural-parameter continuation locating the Bratu fold.
-
-    Sweeps lambda upward from ``lam_start`` in steps of ``lam_step``,
-    warm-starting each Newton solve from the previous solution (the first
-    solve starts from the problem's default iterate).  Returns the last
-    lambda at which Newton converged within ``max_iter`` iterations, or
-    None when no solve converged.
-    """
-    if not lam_step > 0.0:
-        raise ValueError("lambda step must be positive")
-    cfg = SolverConfig(method="newton", tol=tol, max_iter=max_iter)
-    npts = int(np.floor((lam_end - lam_start) / lam_step + 1e-9)) + 1
-    u = None
-    last = None
-    for i in range(npts):
-        lam = lam_start + i * lam_step
-        prob = make_bratu_1d(lam, n)
-        if u is None:
-            u = prob.default_start
-        report = solve(prob, u, cfg)
-        if report.status != "converged":
-            break
-        last = float(lam)
-        u = report.x_final
-    return last

@@ -88,11 +88,6 @@ class SolverConfig:
     to method ``na`` only: NA(m) runs until the step norm drops below the
     given value, after which the solve continues as adaptively safeguarded
     depth-1 Newton-Anderson with parameter ``r_hat``.
-
-    ``norm_weight`` optionally replaces the Euclidean norm by the weighted
-    norm ``|v| = sqrt(v^T W v)`` for a symmetric positive-definite W; it
-    affects step/residual norms, the safeguard ratios, and the mixing
-    coefficient, and defaults to the identity.
     """
 
     method: str = "newton"
@@ -106,7 +101,6 @@ class SolverConfig:
     max_iter: int = 200
     divergence_cap: float = 1e12
     linesearch: ArmijoConfig | None = None
-    norm_weight: np.ndarray | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -248,7 +242,7 @@ def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
     return xn - (lam * gamma) * (xn - (x_km1 + w_prev))
 
 
-def na_m_update(iterates, steps, m, wn, lt):
+def na_m_update(iterates, steps, m, wn):
     """Depth-m Anderson update from iterate/step histories.
 
     ``iterates`` holds float arrays x_{k-j}, ..., x_k (most recent last) and
@@ -260,10 +254,9 @@ def na_m_update(iterates, steps, m, wn, lt):
     problem min |w_{k+1} - F gamma|, and the update is
     x_k + w_{k+1} - (E + F) gamma.
 
-    Norms are |v| = |lt @ v|, with ``lt`` the transposed Cholesky factor of
-    the norm weight, or None for the Euclidean norm; ``wn`` is |w_{k+1}|.
-    Returns ``(next iterate, gamma vector, theta)`` where theta is the
-    optimization gain |w_{k+1} - F gamma| / |w_{k+1}|.
+    ``wn`` is the Euclidean norm |w_{k+1}|.  Returns ``(next iterate, gamma
+    vector, theta)`` where theta is the optimization gain
+    |w_{k+1} - F gamma| / |w_{k+1}|.
     """
     if m < 1:
         raise ValueError("depth m must be a positive integer")
@@ -273,12 +266,8 @@ def na_m_update(iterates, steps, m, wn, lt):
     m_k = min(m, len(steps) - 1, len(iterates) - 1, len(w_next))
     F = np.column_stack([steps[-1 - j] - steps[-2 - j] for j in range(m_k)])
     E = np.column_stack([iterates[-1 - j] - iterates[-2 - j] for j in range(m_k)])
-    if lt is None:
-        gamma = least_squares(F, w_next)
-    else:
-        gamma = least_squares(lt @ F, lt @ w_next)
-    r = w_next - F @ gamma
-    theta = float(_norm(r if lt is None else lt @ r) / wn) if wn > 0.0 else 0.0
+    gamma = least_squares(F, w_next)
+    theta = float(_norm(w_next - F @ gamma) / wn) if wn > 0.0 else 0.0
     x_next = iterates[-1] + w_next - (E + F) @ gamma
     return x_next, gamma, theta
 
@@ -363,26 +352,6 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _make_norm(weight, dimension):
-    """Norm callable and the transform whose Euclidean norm realizes it."""
-    if weight is None:
-        return _norm, None
-    W = np.asarray(weight, dtype=float)
-    if W.shape != (dimension, dimension):
-        raise ValueError(f"norm weight must be {dimension}x{dimension}")
-    if not np.allclose(W, W.T, rtol=0.0, atol=1e-12):
-        raise ValueError("norm weight must be symmetric")
-    try:
-        lt = np.linalg.cholesky(W).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("norm weight must be positive definite") from exc
-
-    def nrm(v):
-        return _norm(lt @ v)
-
-    return nrm, lt
-
-
 def solve(p, x0, cfg):
     """Iterate on problem ``p`` from ``x0`` according to ``cfg``.
 
@@ -400,7 +369,6 @@ def solve(p, x0, cfg):
         raise ValueError(
             f"x0 has shape {x.shape}, problem dimension is {p.dimension}"
         )
-    nrm, lt = _make_norm(cfg.norm_weight, p.dimension)
 
     records = []  # records[j] holds x_j, w_{j+1} and |w_{j+1}|
     # gna/agna safeguard every mixing step unless activation is asymptotic,
@@ -418,7 +386,7 @@ def solve(p, x0, cfg):
             if f is None:
                 f = _residual(p, x)
             # the norm is non-finite exactly when f is (or |f| overflows)
-            rnorm = nrm(f)
+            rnorm = _norm(f)
             if not (_all_finite(x) and rnorm < cfg.divergence_cap):
                 status = "diverged"
                 break
@@ -445,7 +413,7 @@ def solve(p, x0, cfg):
                         f"jacobian returned shape {np.shape(J)}, expected {x.shape * 2}"
                     ) from None
                 raise
-            step_norm = nrm(w)
+            step_norm = _norm(w)
             if step_norm == 0.0:
                 # zero step with nonzero residual: solved to machine level
                 status = "converged"
@@ -469,7 +437,7 @@ def solve(p, x0, cfg):
                     iterates = [rec.x for rec in window] + [x]
                     steps = [rec.w for rec in window] + [w]
                     x_next, gamma, theta = na_m_update(
-                        iterates, steps, cfg.m, step_norm, lt
+                        iterates, steps, cfg.m, step_norm
                     )
                     theta_lam = theta
                     decision = _NOT_APPLIED
@@ -479,9 +447,7 @@ def solve(p, x0, cfg):
                     x_next = x + w
             else:
                 d = w - prev.w
-                lw = w if lt is None else lt @ w
-                ld = d if lt is None else lw - lt @ prev.w
-                gamma = anderson_gamma_1(lw, ld, step_norm + prev.step_norm)
+                gamma = anderson_gamma_1(w, d, step_norm + prev.step_norm)
                 if cfg.method == "gna" and safeguarded:
                     decision = gamma_safeguard(gamma, eta, cfg.r)
                 elif safeguarded or m1_switched:  # agna, or na after the switch
@@ -490,10 +456,10 @@ def solve(p, x0, cfg):
                     decision = _NOT_APPLIED
                 lam = decision.lambda_value
                 x_next = na_update(x, prev.x, w, prev.w, gamma, lam)
-                theta = nrm(w - gamma * d) / step_norm
+                theta = _norm(w - gamma * d) / step_norm
                 theta_lam = (
                     theta if lam == 1.0
-                    else nrm(w - (lam * gamma) * d) / step_norm
+                    else _norm(w - (lam * gamma) * d) / step_norm
                 )
 
             ls_t = f_next = None
@@ -503,9 +469,8 @@ def solve(p, x0, cfg):
                 # a non-finite step is left to the divergence test at the loop top
                 if np.count_nonzero(dx) and _all_finite(dx):
                     ls = cfg.linesearch
-                    fn = rnorm if lt is None else _norm(f)
                     ls_t, ls_ok, x_next, f_next = armijo_backtrack(
-                        p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, fn
+                        p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, rnorm
                     )
 
             records.append(IterationRecord(

@@ -27,8 +27,8 @@ from nasolve import (
     solve,
     solve_linear,
 )
-from nasolve.harness import ExperimentSpec, emit_history, run_experiment
-from nasolve.oracle import fold_sweep, gamma_grid_oracle, safeguard_case_oracle
+from nasolve.harness import ExperimentSpec, emit_history, fold_sweep, run_experiment
+from nasolve.oracle import gamma_grid_oracle, safeguard_case_oracle
 
 
 @contextmanager
@@ -224,7 +224,7 @@ def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
                 if not ws:
                     x = x + w
                 else:
-                    x, _, _ = na_m_update(xs, ws + [w], 1, np.linalg.norm(w), None)
+                    x, _, _ = na_m_update(xs, ws + [w], 1, np.linalg.norm(w))
                 ws.append(w)
                 xs.append(x)
             for rec, x_ref in zip(rep.records, xs):

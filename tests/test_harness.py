@@ -17,6 +17,7 @@ from nasolve.harness import (
     ExperimentSpec,
     config_label,
     emit_history,
+    fold_sweep,
     history_rows,
     initial_iterate,
     main,
@@ -157,6 +158,10 @@ class TestExperimentSpecValidation:
     def test_bad_sweep(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="bratu1d", sweep=("lambda", 3.0, 2.0, 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(problem="bratu1d", sweep=("lambda", 3.0, math.inf, 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(problem="bratu1d", sweep=("lambda", -math.inf, 3.0, 0.1))
         with pytest.raises(ValueError):
             ExperimentSpec(problem="bratu1d", sweep=("lambda", 1.0, 2.0, 0.0))
 
@@ -305,6 +310,22 @@ class TestRunExperiment:
         ]
         assert statuses.count("converged") >= 6
 
+    def test_fold_sweep_stops_at_first_failed_warm_cell(self, tmp_path):
+        spec = ExperimentSpec(
+            problem="bratu1d",
+            params={"n": 30},
+            configs=(SolverConfig(method="newton", max_iter=50),),
+            sweep=("lambda", 3.3, 3.7, 0.05),
+            output=str(tmp_path / "fold"),
+            warm_start=True,
+        )
+        _, files = run_experiment(spec)
+        rows = [line.split(",") for line in files[-1].read_text().splitlines()[1:]]
+        first_failed = next(i for i, row in enumerate(rows) if row[2] != "converged")
+        assert first_failed > 0
+        expected = float(rows[first_failed - 1][0])
+        assert fold_sweep(30, 3.3, 3.7, 0.05) == expected
+
 
 class TestConfigLabel:
     def test_labels_distinguish_methods(self):
@@ -363,6 +384,19 @@ class TestCli:
 
     def test_verify_gamma_grid(self):
         assert main(["verify", "gamma-grid", "--trials", "25", "--seed", "1"]) == 0
+
+    def test_verify_fold_rejects_non_finite_end(self, capsys):
+        assert main(["verify", "fold", "--n", "30", "--end", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("error: sweep start and end")
+
+    def test_sweep_rejects_non_finite_bound(self, tmp_path, capsys):
+        rc = main([
+            "sweep", "--problem", "bratu1d", "--sweep", "lambda:3:inf:0.1",
+            "--output", str(tmp_path / "inf"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: sweep start and end")
+        assert not (tmp_path / "inf").exists()
 
     def test_sweep_cli(self, tmp_path):
         rc = main([

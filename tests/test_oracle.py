@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nasolve import anderson_gamma_1, gamma_safeguard
-from nasolve.oracle import fold_sweep, gamma_grid_oracle, safeguard_case_oracle
+from nasolve.harness import fold_sweep
+from nasolve.oracle import gamma_grid_oracle, safeguard_case_oracle
 
 
 class TestGammaGridOracle:
