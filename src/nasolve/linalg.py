@@ -9,7 +9,8 @@ apply the same singularity test to the pivots.  ``least_squares`` serves the
 small tall mixing problems of Anderson acceleration.  Both call LAPACK
 directly and raise ``NonFiniteInput`` on a NaN or inf entry.  Vectors are 1-D
 arrays; the kernels are pure functions over immutable inputs and are safe
-for concurrent use.  Iterative and sparse solvers are out of scope.
+for concurrent use, apart from ``solve_linear(..., overwrite_a=True)``,
+which may overwrite its matrix.  Iterative and sparse solvers are out of scope.
 """
 
 import math
@@ -103,13 +104,19 @@ def _check_pivots(pivots, info, scale):
         )
 
 
-def solve_linear(A, b):
+def solve_linear(A, b, overwrite_a=False):
     """Solve the square system ``A x = b`` via partial-pivoted LU.
 
     A ``Tridiagonal`` ``A`` is solved with LAPACK ``dgtsv``; anything else is
     taken as a dense matrix and solved with ``dgetrf``/``dgetrs``, the
     routines behind ``scipy.linalg.lu_factor``/``lu_solve``, whose results
     it reproduces bitwise.
+
+    ``overwrite_a`` (SciPy's name) lets ``dgetrf`` factor a dense ``A`` in
+    its own buffer, sparing an n-by-n copy; ``A`` then holds its LU factors.
+    Only a writeable Fortran-contiguous float64 array is factored in place:
+    any other dense ``A`` is copied first, and ``b`` and a ``Tridiagonal``'s
+    bands are never written.  ``x`` is the same either way, bit for bit.
 
     Raises
     ------
@@ -142,7 +149,9 @@ def solve_linear(A, b):
         _, u_diag, _, x, info = lapack.dgtsv(A.dl, A.d, A.du, b)
         _check_pivots(u_diag, info, scale)
         return x
-    lu, piv, info = lapack.dgetrf(A)
+    # f2py would overwrite a read-only array too; positional, as f2py parses
+    # it faster than the keyword
+    lu, piv, info = lapack.dgetrf(A, overwrite_a and A.flags.writeable)
     _check_pivots(lu.diagonal(), info, scale)
     return lapack.dgetrs(lu, piv, b)[0]
 

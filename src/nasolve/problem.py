@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .linalg import Tridiagonal
 
@@ -67,6 +68,12 @@ class NonlinearProblem:
     If ``jacobian`` is None a dense forward-difference fallback with step
     ``sqrt(eps) * (1 + ||x||)`` is installed; the built-in problems all
     supply analytic Jacobians.
+
+    ``solve`` owns the dense matrix ``jacobian`` returns and may overwrite it
+    with its LU factors, so ``jacobian`` must return a fresh array on each
+    call.  Only a writeable Fortran-contiguous float64 matrix is factored in
+    place; any other matrix is copied first.  Returning Fortran order spares
+    that n-by-n copy.
 
     ``default_start`` is the documented initial iterate used when callers
     (for example the CLI) do not provide one.
@@ -179,21 +186,31 @@ def make_chandrasekhar(c, n):
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got {n}")
     mu = (np.arange(1, n + 1) - 0.5) / n
-    A = (c / (2.0 * n)) * mu[:, None] / (mu[:, None] + mu[None, :])
+    # (c/2n) mu_i / (mu_i + mu_j), built in its own buffer
+    A = np.add.outer(mu, mu)
+    np.divide((c / (2.0 * n)) * mu[:, None], A, out=A)
+
+    def A_times(H):
+        """``A @ H`` for a float vector H, as ``dgemv_t`` on the Fortran view
+        ``A.T`` (no copy): the kernel NumPy's matmul runs here, on the BLAS
+        that LAPACK runs on."""
+        if H.shape != (n,):
+            raise ValueError(f"expected a vector of length {n}, got shape {H.shape}")
+        return blas.dgemv(1.0, A.T, H, trans=1)
 
     def residual(H):
         H = np.asarray(H, dtype=float)
-        return H - 1.0 / (1.0 - A @ H)
+        return H - 1.0 / (1.0 - A_times(H))
 
     def jacobian(H):
         H = np.asarray(H, dtype=float)
-        d = 1.0 / (1.0 - A @ H)
-        # np.eye(n) - (d * d)[:, None] * A in one buffer; equal entries, and
-        # bitwise so unless a product underflows to 0 (its negation is -0.0)
-        J = (d * d)[:, None] * A
-        np.negative(J, out=J)
-        J.flat[:: n + 1] += 1.0
-        return J
+        d = 1.0 / (1.0 - A_times(H))
+        # I - diag(d^2) A, written as its transpose into a C-ordered buffer so
+        # that J is Fortran-ordered and LU-factored in place.  Entry for entry
+        # -(d_i^2 A_ij), so a product that underflows to 0 gives -0.0.
+        Jt = np.multiply(A.T, -(d * d), out=np.empty((n, n)))
+        Jt.flat[:: n + 1] += 1.0
+        return Jt.T
 
     truth = GroundTruth(is_singular=(c == 1.0), parameter=("c", c))
     return NonlinearProblem(

@@ -360,7 +360,8 @@ def solve(p, x0, cfg):
     report's records hold exactly the steps taken.  Numerical failures are
     reported through ``ConvergenceReport.status`` (``converged``,
     ``diverged``, ``singular_jacobian``, ``max_iter``); only malformed
-    inputs raise.
+    inputs raise.  ``solve`` owns each dense Jacobian ``p.jacobian`` returns
+    and may factor it in place (see ``NonlinearProblem``).
     """
     # the one copy of x0: every later iterate and step is a fresh array that
     # is never mutated, so records share them instead of copying
@@ -398,7 +399,8 @@ def solve(p, x0, cfg):
                 break
             J = p.jacobian(x)
             try:
-                w = solve_linear(J, -f)
+                # J is used once: a Fortran-ordered J is factored in place
+                w = solve_linear(J, -f, overwrite_a=True)
             except SingularMatrix:
                 status = "singular_jacobian"
                 break
@@ -413,6 +415,9 @@ def solve(p, x0, cfg):
                         f"jacobian returned shape {np.shape(J)}, expected {x.shape * 2}"
                     ) from None
                 raise
+            # drop the factored J, so that it is freed before the next
+            # p.jacobian call allocates its successor
+            del J
             step_norm = _norm(w)
             if step_norm == 0.0:
                 # zero step with nonzero residual: solved to machine level
@@ -432,18 +437,24 @@ def solve(p, x0, cfg):
             if k == 0 or cfg.method == "newton":
                 x_next = x + w
             elif cfg.method == "na" and not m1_switched and cfg.m > 1:
+                x_next = None
                 if math.isfinite(step_norm):
                     window = records[-cfg.m:]
                     iterates = [rec.x for rec in window] + [x]
                     steps = [rec.w for rec in window] + [w]
-                    x_next, gamma, theta = na_m_update(
-                        iterates, steps, cfg.m, step_norm
-                    )
-                    theta_lam = theta
-                    decision = _NOT_APPLIED
-                else:
-                    # a step whose norm overflows is not mixed; when the
-                    # step is non-finite, the loop top reports diverged
+                    try:
+                        x_next, gamma, theta = na_m_update(
+                            iterates, steps, cfg.m, step_norm
+                        )
+                    except NonFiniteInput:
+                        pass  # two earlier steps' difference overflows
+                    else:
+                        theta_lam = theta
+                        decision = _NOT_APPLIED
+                if x_next is None:
+                    # a step whose norm overflows, or a window whose
+                    # differences overflow, is not mixed; when the step is
+                    # non-finite, the loop top reports diverged
                     x_next = x + w
             else:
                 d = w - prev.w

@@ -125,6 +125,26 @@ def _overflow_problems():
     )
 
 
+def _overflow_window_problem():
+    """A 2-D problem whose first two steps overflow in norm and in their
+    difference, so that a later depth-2 or depth-3 Anderson window does too."""
+    big = 1.5e308
+
+    def residual(x):
+        if x[0] == 0.0:
+            return np.array([-1.5e150, 1e-158 * x[1]])
+        if x[0] == big:
+            return np.array([1e150, 1e-158 * x[1]])
+        return np.array([-1.0, x[1]])
+
+    def jacobian(x):
+        return 1e-158 * np.eye(2) if x[0] in (0.0, big) else np.eye(2)
+
+    return NonlinearProblem(
+        "overflow_window", 2, residual, jacobian, np.array([0.0, 1.0])
+    )
+
+
 def groups():
     """(name, [(problem, x0, cfg), ...]) for every group of solves."""
     sq = make_singular_quadratic()
@@ -137,6 +157,17 @@ def groups():
     matrix = (sq, make_chandrasekhar(1.0, 40), make_bratu_1d(1.0, 40))
     yield f"3 problems x {len(MATRIX_CONFIGS)} configs", [
         (p, p.default_start, cfg) for p in matrix for cfg in MATRIX_CONFIGS
+    ]
+
+    # n = 300 factors with LAPACK's blocked LU; the groups above stop at 40
+    ch300 = make_chandrasekhar(1.0, 300)
+    yield "chandrasekhar c=1 n=300", [
+        (ch300, ch300.default_start, cfg)
+        for cfg in (
+            SolverConfig(method="newton"),
+            SolverConfig(method="agna"),
+            SolverConfig(method="na", m=3),
+        )
     ]
 
     bratu3 = make_bratu_1d(3.0, 20)
@@ -181,6 +212,13 @@ def groups():
             cfg = dataclasses.replace(cfg, divergence_cap=np.inf)
             jobs.append((p, p.default_start, cfg))
     yield "overflow and divergence", jobs
+
+    window = _overflow_window_problem()
+    yield "overflowing Anderson window", [
+        (window, window.default_start,
+         SolverConfig(method="na", m=m, divergence_cap=np.inf, max_iter=5))
+        for m in (1, 2, 3)
+    ]
 
 
 def main():

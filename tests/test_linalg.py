@@ -78,6 +78,53 @@ class TestSolveLinear:
         np.testing.assert_array_equal(A, A0)
         np.testing.assert_array_equal(b, b0)
 
+    def test_fortran_inputs_not_modified_by_default(self):
+        rng = np.random.default_rng(7)
+        A = np.asfortranarray(rng.standard_normal((40, 40)))
+        b = rng.standard_normal(40)
+        A0, b0 = A.copy(order="F"), b.copy()
+        solve_linear(A, b)
+        assert A.flags.f_contiguous
+        assert A.tobytes() == A0.tobytes() and b.tobytes() == b0.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_a_gives_bitwise_equal_x(self, n, order):
+        rng = np.random.default_rng(n)
+        A = np.array(rng.standard_normal((n, n)), order=order)
+        b = rng.standard_normal(n)
+        x = solve_linear(A, b)
+        A_in = A.copy(order="K")
+        x_in = solve_linear(A_in, b, overwrite_a=True)
+        assert x_in.tobytes() == x.tobytes()
+        # only the Fortran-ordered matrix is factored in its own buffer
+        lu = scipy.linalg.lu_factor(A)[0]
+        expected = lu if order == "F" else A
+        assert A_in.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["C-ordered", "float32", "strided", "read-only"])
+    def test_overwrite_a_spares_what_it_cannot_factor_in_place(self, kind):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
+        A = {
+            "C-ordered": np.ascontiguousarray(M),
+            "float32": np.asfortranarray(M, dtype=np.float32),
+            "strided": np.asfortranarray(M)[::2, ::2],
+            "read-only": np.asfortranarray(M),
+        }[kind]
+        A.flags.writeable = kind != "read-only"
+        A0 = A.copy(order="K")
+        x = solve_linear(A, np.ones(A.shape[0]), overwrite_a=True)
+        assert A.tobytes() == A0.tobytes()
+        assert x.tobytes() == solve_linear(A0, np.ones(A.shape[0])).tobytes()
+
+    def test_overwrite_a_leaves_tridiagonal_bands(self):
+        T = Tridiagonal(np.ones(3), np.full(4, 4.0), np.ones(3))
+        bands = [band.copy() for band in (T.dl, T.d, T.du)]
+        solve_linear(T, np.ones(4), overwrite_a=True)
+        for band, band0 in zip((T.dl, T.d, T.du), bands):
+            assert band.tobytes() == band0.tobytes()
+
     def test_lu_round_trip_well_conditioned(self):
         rng = np.random.default_rng(0)
         for _ in range(5):

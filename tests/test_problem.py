@@ -85,6 +85,36 @@ class TestChandrasekhar:
             assert np.array_equal(J, expected)
             assert J.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_jacobian_is_fortran_ordered_to_the_sign_bit(self, n):
+        p = make_chandrasekhar(1.0, n)
+        mu = (np.arange(1, n + 1) - 0.5) / n
+        A = (1.0 / (2.0 * n)) * mu[:, None] / (mu[:, None] + mu[None, :])
+        # at H = 1e300 every d_i^2 underflows, so off the diagonal J is -0.0
+        for H in (np.ones(n), np.full(n, 1e300)):
+            d = 1.0 / (1.0 - A @ H)
+            expected = -(d * d)[:, None] * A
+            expected.flat[:: n + 1] += 1.0
+            J = p.jacobian(H)
+            assert J.dtype == np.float64 and J.flags.f_contiguous
+            assert J.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(J), np.signbit(expected))
+        assert np.signbit(J[~np.eye(n, dtype=bool)]).all()
+        assert not J[~np.eye(n, dtype=bool)].any()
+
+    def test_each_jacobian_is_a_fresh_array(self):
+        p = make_chandrasekhar(1.0, 5)
+        J1, J2 = p.jacobian(np.ones(5)), p.jacobian(np.ones(5))
+        assert not np.shares_memory(J1, J2)
+
+    def test_residual_rejects_wrong_length(self):
+        p = make_chandrasekhar(1.0, 5)
+        for H in (np.ones(4), np.ones(6), np.ones((5, 1))):
+            with pytest.raises(ValueError, match="expected a vector of length 5"):
+                p.residual(H)
+            with pytest.raises(ValueError, match="expected a vector of length 5"):
+                p.jacobian(H)
+
     def test_metadata(self):
         assert make_chandrasekhar(1.0, 10).metadata.is_singular
         p = make_chandrasekhar(0.5, 10)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -490,6 +491,37 @@ class TestSolve:
         assert report.iterations == 2
         assert report.records[1].step_norm == np.inf
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_overflowing_anderson_window_is_not_mixed(self, m):
+        # The first two Newton steps, (1.5e308, -1) and (-1e308, 0), overflow
+        # in norm and are taken unmixed; the third, (1, 0), is finite, and
+        # the difference of the first two overflows in its window.
+        big = 1.5e308
+
+        def residual(x):
+            if x[0] == 0.0:
+                return np.array([-1.5e150, 1e-158 * x[1]])
+            if x[0] == big:
+                return np.array([1e150, 1e-158 * x[1]])
+            return np.array([-1.0, x[1]])
+
+        p = NonlinearProblem(
+            name="overflowing window",
+            dimension=2,
+            residual=residual,
+            jacobian=lambda x: 1e-158 * np.eye(2) if x[0] in (0.0, big) else np.eye(2),
+            default_start=np.array([0.0, 1.0]),
+        )
+        cfg = SolverConfig(method="na", m=m, divergence_cap=np.inf, max_iter=5)
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "max_iter"
+        assert [rec.step_norm for rec in report.records[:2]] == [np.inf, np.inf]
+        unmixed = report.records[2]
+        assert unmixed.gamma is None and unmixed.decision is None
+        # the step taken is the Newton step
+        np.testing.assert_array_equal(report.records[3].x, unmixed.x + unmixed.w)
+        assert report.records[3].gamma is not None
+
     def test_error_state_restored_after_nested_solves(self):
         # a residual that runs an inner solve, on an outer solve that diverges
         inner = make_singular_quadratic()
@@ -971,3 +1003,47 @@ def test_solve_reports_a_status_and_consistent_records(case):
         assert rec.lam is None or 0.0 <= rec.lam <= 1.0
         if rec.decision is not None:
             assert 0.0 <= rec.decision.lambda_value <= 1.0
+
+
+@pytest.mark.parametrize("order", ["C", "F-read-only"])
+def test_cached_jacobian_is_left_unchanged(order):
+    rng = np.random.default_rng(5)
+    J = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    if order != "C":
+        J = np.asfortranarray(J)
+        J.flags.writeable = False
+    J0 = J.copy(order="K")
+    target = np.linspace(-1.0, 1.0, 6)
+    p = NonlinearProblem(  # chord-like: every jacobian call returns the one J
+        name="cached jacobian",
+        dimension=6,
+        residual=lambda x: J @ (x - target) + 0.1 * (x - target) ** 3,
+        jacobian=lambda x: J,
+        default_start=np.zeros(6),
+    )
+    report = solve(p, p.default_start, SolverConfig(method="na", m=2))
+    assert report.status == "converged" and report.iterations > 2
+    assert J.tobytes() == J0.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SolverConfig(method="newton"), SolverConfig(method="agna"),
+     SolverConfig(method="na", m=3)],
+    ids=["newton", "agna", "na3"],
+)
+def test_dense_solve_holds_one_jacobian(cfg):
+    # Each step owns the Jacobian it factors: the LU overwrites it, and it is
+    # freed before the next one is built.  Holding two n-by-n matrices (or
+    # factoring a copy) would put the peak above 2 n^2 doubles.
+    n = 300
+    p = make_chandrasekhar(1.0, n)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        report = solve(p, p.default_start, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert report.status == "converged"
+    assert peak < 1.6 * n * n * 8
