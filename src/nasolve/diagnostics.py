@@ -47,8 +47,12 @@ class ConvergenceReport:
 
     records: tuple
     status: str
-    iterations: int
     x_final: np.ndarray | None = None
+
+    @property
+    def iterations(self):
+        """Number of steps taken, ``len(records)``."""
+        return len(self.records)
 
     @property
     def residual_norms(self):

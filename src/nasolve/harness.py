@@ -62,6 +62,7 @@ CSV_COLUMNS = (
 
 SUMMARY_COLUMNS = ("param", "config", "status", "iterations", "q_term")
 
+FORMATS = ("csv", "json")
 X0_CHOICES = ("zero", "ones", "default")
 X0_USAGE = " | ".join(X0_CHOICES + ("perturbed:IDX:VAL",))
 
@@ -91,7 +92,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.configs:
             raise ValueError("at least one solver configuration is required")
-        if self.fmt not in ("csv", "json"):
+        if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.sweep is not None:
             name, start, end, step = self.sweep
@@ -319,6 +320,9 @@ def fold_sweep(n, lam_start, lam_end, lam_step, tol=1e-10, max_iter=50):
 
 
 def _add_solver_flags(sub):
+    """The solve/sweep/compare flags; their defaults are the library's."""
+    # a dataclass keeps each field's default as a class attribute
+    cfg, spec = SolverConfig, ExperimentSpec
     sub.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     sub.add_argument(
         "--param",
@@ -334,33 +338,35 @@ def _add_solver_flags(sub):
         choices=METHODS,
         help="solver method (repeatable for sweep/compare)",
     )
-    sub.add_argument("--m", type=int, default=1, help="Anderson depth (method na)")
-    sub.add_argument("--r", type=float, default=0.5, help="fixed safeguard parameter (gna)")
-    sub.add_argument("--rhat", type=float, default=0.5, help="adaptive safeguard cap (agna)")
-    sub.add_argument("--activation", choices=ACTIVATIONS, default="always")
+    sub.add_argument("--m", type=int, default=cfg.m, help="Anderson depth (method na)")
+    sub.add_argument("--r", type=float, default=cfg.r, help="fixed safeguard parameter (gna)")
+    sub.add_argument(
+        "--rhat", type=float, default=cfg.r_hat, help="adaptive safeguard cap (agna)"
+    )
+    sub.add_argument("--activation", choices=ACTIVATIONS, default=cfg.activation)
     sub.add_argument(
         "--threshold",
         type=float,
-        default=1e-1,
+        default=cfg.threshold,
         help="step-norm threshold for asymptotic activation",
     )
     sub.add_argument(
         "--switch-to-m1-at",
         type=float,
-        default=None,
+        default=cfg.switch_to_m1_at,
         help="step-norm threshold at which NA(m) drops to safeguarded depth 1",
     )
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", type=int, default=200)
+    sub.add_argument("--tol", type=float, default=cfg.tol)
+    sub.add_argument("--max-iter", type=int, default=cfg.max_iter)
     sub.add_argument(
         "--linesearch",
         default="none",
         metavar="none|armijo[:C1:SHRINK:MAXBT]",
         help="optional Armijo backtracking on the composite step",
     )
-    sub.add_argument("--x0", default="default", help=f"initial iterate: {X0_USAGE}")
-    sub.add_argument("--output", default="out", help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--x0", default=spec.x0, help=f"initial iterate: {X0_USAGE}")
+    sub.add_argument("--output", default=spec.output, help="output directory")
+    sub.add_argument("--format", choices=FORMATS, default=spec.fmt)
 
 
 def _parse_params(pairs):
@@ -389,7 +395,7 @@ def _parse_linesearch(text):
 
 
 def _configs_from_args(args):
-    methods = args.method or ["newton"]
+    methods = args.method or [SolverConfig.method]
     linesearch = _parse_linesearch(args.linesearch)
     configs = []
     for method in methods:

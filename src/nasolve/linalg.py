@@ -175,7 +175,7 @@ def least_squares(F, b):
         raise ValueError(f"need n >= m >= 1 columns, got shape {F.shape}")
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix shape {F.shape}")
-    if not (np.isfinite(F).all() and np.isfinite(b).all()):
+    if not (_all_finite(F.ravel(order="K")) and _all_finite(b)):
         raise NonFiniteInput("matrix or rhs contains non-finite entries")
     qr, perm, tau, _, _ = lapack.dgeqp3(F)
     diag = np.abs(qr.diagonal())

@@ -289,7 +289,14 @@ def check_jacobian(p, x, h):
     return worst
 
 
-PROBLEM_IDS = ("singular_quadratic", "chandrasekhar", "bratu1d")
+# id -> (constructor, its parameters in call order with their defaults);
+# the constructor converts and checks each value
+_BUILT_INS = {
+    "singular_quadratic": (make_singular_quadratic, {}),
+    "chandrasekhar": (make_chandrasekhar, {"c": 0.5, "n": 100}),
+    "bratu1d": (make_bratu_1d, {"lambda": 1.0, "n": 100}),
+}
+PROBLEM_IDS = tuple(_BUILT_INS)
 
 
 def problem_from_id(problem_id, params=None):
@@ -299,21 +306,11 @@ def problem_from_id(problem_id, params=None):
     ``chandrasekhar`` (``c`` in (0, 1], grid size ``n``), and ``bratu1d``
     (``lambda`` >= 0, interior points ``n``).
     """
-    params = dict(params or {})
-    if problem_id == "singular_quadratic":
-        pass
-    elif problem_id == "chandrasekhar":
-        c = float(params.pop("c", 0.5))
-        n = int(params.pop("n", 100))
-    elif problem_id == "bratu1d":
-        lam = float(params.pop("lambda", 1.0))
-        n = int(params.pop("n", 100))
-    else:
+    if problem_id not in _BUILT_INS:
         raise ValueError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")
-    if params:
-        raise ValueError(f"unknown parameters for {problem_id}: {sorted(params)}")
-    if problem_id == "singular_quadratic":
-        return make_singular_quadratic()
-    if problem_id == "chandrasekhar":
-        return make_chandrasekhar(c, n)
-    return make_bratu_1d(lam, n)
+    make, defaults = _BUILT_INS[problem_id]
+    params = params or {}
+    unknown = params.keys() - defaults.keys()
+    if unknown:
+        raise ValueError(f"unknown parameters for {problem_id}: {sorted(unknown)}")
+    return make(*(params.get(name, value) for name, value in defaults.items()))

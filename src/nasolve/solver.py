@@ -132,15 +132,7 @@ class SolverConfig:
             raise ValueError("divergence_cap must be positive")
 
 
-class _DecisionFields(NamedTuple):
-    case: str
-    lambda_value: float
-    eta: float | None = None
-    r_used: float | None = None
-    beta: float | None = None
-
-
-class SafeguardDecision(_DecisionFields):
+class SafeguardDecision(NamedTuple):
     """Which safeguard case fired and the resulting scaling lambda.
 
     Cases: ``not_applied`` (no safeguard evaluated this step),
@@ -149,25 +141,15 @@ class SafeguardDecision(_DecisionFields):
     ``pass_through`` (lambda = 1, full Anderson step).
 
     An immutable named tuple: fields are read by name, assigning one raises
-    ``AttributeError``, and an instance holds no ``__dict__``.  Building one
-    through the class, ``_make`` or ``_replace`` checks lambda.
+    ``AttributeError``, and an instance holds no ``__dict__``.
+    ``gamma_safeguard`` builds every applied decision.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.case == "gamma_zero_or_ge_one" and self.lambda_value != 0.0:
-            raise ValueError("case gamma_zero_or_ge_one requires lambda = 0")
-        if self.case == "pass_through" and self.lambda_value != 1.0:
-            raise ValueError("case pass_through requires lambda = 1")
-        if not 0.0 <= self.lambda_value <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lambda_value}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    case: str
+    lambda_value: float
+    eta: float | None = None
+    r_used: float | None = None
+    beta: float | None = None
 
 
 _NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
@@ -275,14 +257,15 @@ def na_m_update(iterates, steps, m, wn):
 def gamma_safeguard(gamma, eta, r):
     """Safeguard decision for mixing coefficient gamma, gate beta = r * eta.
 
-    eta = |w_next| / |w_prev| is the ratio of consecutive Newton step norms.
-    Scales the mixing coefficient by lambda: lambda = 0 when gamma is 0 or
-    at least 1; lambda = beta / (gamma * (beta + sign(gamma))) when
-    |gamma| / |1 - gamma| exceeds beta; lambda = 1 otherwise.
+    eta = |w_next| / |w_prev| is the ratio of consecutive Newton step norms
+    and r lies in [0, 1).  Scales the mixing coefficient by lambda: lambda =
+    0 when gamma is 0 or at least 1; lambda = beta / (gamma * (beta +
+    sign(gamma))) when |gamma| / |1 - gamma| exceeds beta; lambda = 1
+    otherwise.  r = 0 closes the gate: lambda = 0, a pure Newton step.
     """
     # a NaN r passes: it is the step ratio of a non-finite step, which diverges
-    if r <= 0.0 or r >= 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    if r < 0.0 or r >= 1.0:
+        raise ValueError(f"r must lie in [0, 1), got {r}")
     beta = r * eta
     # Branch order follows the safeguarding scheme literally: the
     # gamma == 0 / gamma >= 1 test comes first, so sign(gamma) below is
@@ -295,15 +278,15 @@ def gamma_safeguard(gamma, eta, r):
         case, lam = "ratio_exceeded", min(beta / (gamma * (beta + sign)), 1.0)
     else:
         case, lam = "pass_through", 1.0
-    # unchecked construction: each case above comes with its lambda, in [0, 1]
-    return tuple.__new__(SafeguardDecision, (case, lam, eta, r, beta))
+    return SafeguardDecision(case, lam, eta, r, beta)
 
 
 def adaptive_gamma_safeguard(gamma, eta, r_hat):
     """Adaptive safeguard: ``gamma_safeguard`` with r_used = min(eta, r_hat).
 
     Only the gate adapts.  Since r_used <= r_hat this safeguards at least as
-    strictly as the fixed scheme at equal eta.
+    strictly as the fixed scheme at equal eta; eta = 0 (a step norm that
+    overflowed before this one) closes the gate.
     """
     if not 0.0 < r_hat < 1.0:
         raise ValueError(f"r_hat must lie in (0, 1), got {r_hat}")
@@ -372,11 +355,18 @@ def solve(p, x0, cfg):
         )
 
     records = []  # records[j] holds x_j, w_{j+1} and |w_{j+1}|
-    # gna/agna safeguard every mixing step unless activation is asymptotic,
-    # in which case plain NA(1) runs until the step norm drops below the
-    # threshold (latched: all subsequent steps are safeguarded).
-    safeguarded = cfg.method in ("gna", "agna") and cfg.activation != "asymptotic"
-    m1_switched = False
+    # One latch: from the first step norm below latch_below on, every
+    # mixing step is a safeguarded depth-1 step.  na latches at
+    # switch_to_m1_at (never without one: no norm is below 0), gna/agna
+    # with asymptotic activation at the threshold, and gna/agna otherwise
+    # from the start.
+    if cfg.method == "na":
+        latch_below = 0.0 if cfg.switch_to_m1_at is None else cfg.switch_to_m1_at
+    elif cfg.activation == "asymptotic":
+        latch_below = cfg.threshold
+    else:
+        latch_below = math.inf
+    latched = latch_below == math.inf
     k = 0
     f = None  # f(x), unless still to be evaluated
 
@@ -424,11 +414,8 @@ def solve(p, x0, cfg):
                 status = "converged"
                 break
 
-            if cfg.method in ("gna", "agna") and step_norm < cfg.threshold:
-                safeguarded = True
-            # only method "na" takes switch_to_m1_at (SolverConfig checks)
-            if cfg.switch_to_m1_at is not None and step_norm < cfg.switch_to_m1_at:
-                m1_switched = True
+            if step_norm < latch_below:
+                latched = True
 
             gamma = theta = theta_lam = decision = None
             prev = records[-1] if records else None
@@ -436,7 +423,7 @@ def solve(p, x0, cfg):
 
             if k == 0 or cfg.method == "newton":
                 x_next = x + w
-            elif cfg.method == "na" and not m1_switched and cfg.m > 1:
+            elif cfg.m > 1 and not latched:  # na; gna/agna have m = 1
                 x_next = None
                 if math.isfinite(step_norm):
                     window = records[-cfg.m:]
@@ -459,12 +446,12 @@ def solve(p, x0, cfg):
             else:
                 d = w - prev.w
                 gamma = anderson_gamma_1(w, d, step_norm + prev.step_norm)
-                if cfg.method == "gna" and safeguarded:
-                    decision = gamma_safeguard(gamma, eta, cfg.r)
-                elif safeguarded or m1_switched:  # agna, or na after the switch
-                    decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
-                else:
+                if not latched:
                     decision = _NOT_APPLIED
+                elif cfg.method == "gna":
+                    decision = gamma_safeguard(gamma, eta, cfg.r)
+                else:  # agna, or na after the switch
+                    decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
                 lam = decision.lambda_value
                 x_next = na_update(x, prev.x, w, prev.w, gamma, lam)
                 theta = _norm(w - gamma * d) / step_norm
@@ -491,9 +478,4 @@ def solve(p, x0, cfg):
             x, f = x_next, f_next
             k += 1
 
-    return ConvergenceReport(
-        records=tuple(records),
-        status=status,
-        iterations=len(records),
-        x_final=x,
-    )
+    return ConvergenceReport(records=tuple(records), status=status, x_final=x)

@@ -78,8 +78,7 @@ def synthetic_report(xs=None, ws=None, r_used=None):
                 ),
             )
         )
-    return ConvergenceReport(records=tuple(records), status="converged",
-                             iterations=len(records))
+    return ConvergenceReport(records=tuple(records), status="converged")
 
 
 class TestDecomposeErrors:

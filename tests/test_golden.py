@@ -79,15 +79,40 @@ def _run(name, outdir):
     return run_experiment(ExperimentSpec(output=str(outdir), **EXPERIMENTS[name]))
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_rerun_matches_golden(name, tmp_path):
-    _, written = _run(name, tmp_path)
+def _assert_matches_golden(name, written):
     expected = GOLDEN / name
     assert sorted(p.name for p in written) == sorted(
         p.name for p in expected.iterdir()
     )
     for path in written:
         assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_rerun_matches_golden(name, tmp_path):
+    _assert_matches_golden(name, _run(name, tmp_path)[1])
+
+
+# the same experiments as the command lines a user types
+CLI_EXPERIMENTS = {
+    "agna_asymptotic": "solve --problem chandrasekhar --param c=1.0 --param n=20 "
+    "--method agna --rhat 0.5 --activation asymptotic",
+    "na_m3_switch": "solve --problem chandrasekhar --param c=1.0 --param n=20 "
+    "--method na --m 3 --switch-to-m1-at 1e-3",
+    "bratu_warm_sweep": "sweep --problem bratu1d --param n=20 --method newton "
+    "--x0 zero --sweep lambda:3.40:3.52:0.02 --warm-start",
+    "armijo": "solve --problem bratu1d --param lambda=3.0 --param n=20 --method agna "
+    "--rhat 0.5 --linesearch armijo --x0 perturbed:5:5",
+    "json": "sweep --problem chandrasekhar --param n=20 --method na --method agna "
+    "--sweep c:0.9:1.0:0.05 --format json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_EXPERIMENTS))
+def test_cli_reproduces_golden(name, tmp_path, capsys):
+    assert harness.main([*CLI_EXPERIMENTS[name].split(), "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _assert_matches_golden(name, list(tmp_path.iterdir()))
 
 
 RECORD_FLOATS = (
@@ -97,8 +122,8 @@ RECORD_FLOATS = (
 DECISION_FLOATS = ("lambda_value", "eta", "r_used", "beta")
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
+def _records(name, outdir, monkeypatch):
+    """Every record of the solves that experiment ``name`` runs."""
     reports, solve = [], harness.solve
 
     def solve_and_keep(*args):
@@ -106,9 +131,14 @@ def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(harness, "solve", solve_and_keep)
-    _run(name, tmp_path)
+    _run(name, outdir)
+    return [rec for report in reports for rec in report.records]
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
     checked = 0
-    for rec in (rec for report in reports for rec in report.records):
+    for rec in _records(name, tmp_path, monkeypatch):
         values = [getattr(rec, f) for f in RECORD_FLOATS]
         if rec.decision is not None:
             values += [getattr(rec.decision, f) for f in DECISION_FLOATS]
@@ -117,6 +147,13 @@ def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
                 assert type(value) is float, (name, rec.k, value)
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_decisions_hold_their_invariant(name, tmp_path, monkeypatch, check_decision):
+    for rec in _records(name, tmp_path, monkeypatch):
+        if rec.decision is not None:
+            check_decision(rec.decision)
 
 
 def regenerate(names=()):

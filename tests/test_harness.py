@@ -107,7 +107,7 @@ class TestEmitHistory:
             eta=np.float64(np.nan),
             theta=-np.inf,
         )
-        report = ConvergenceReport(records=(rec,), status="diverged", iterations=1)
+        report = ConvergenceReport(records=(rec,), status="diverged")
         line = emit_history(report, "csv").decode().splitlines()[1]
         cells = dict(zip(CSV_COLUMNS, line.split(",")))
         assert cells["residual_norm"] == "1.0"
@@ -123,7 +123,7 @@ class TestEmitHistory:
         assert row["gamma"] == [None, 0.5]
 
     def test_empty_history(self):
-        report = ConvergenceReport(records=(), status="converged", iterations=0)
+        report = ConvergenceReport(records=(), status="converged")
         assert emit_history(report, "json") == b"[]\n"
         assert emit_history(report, "csv") == (",".join(CSV_COLUMNS) + "\n").encode()
 
