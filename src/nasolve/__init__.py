@@ -16,13 +16,13 @@ from .diagnostics import (
     gain_history,
     null_space_gamma,
     quasi_restart_count,
+    step_gains,
 )
 from .linalg import SingularMatrix, Tridiagonal, least_squares, solve_linear
 from .problem import (
     PROBLEM_IDS,
     GroundTruth,
     NonlinearProblem,
-    check_jacobian,
     finite_difference_jacobian,
     make_bratu_1d,
     make_chandrasekhar,
@@ -65,7 +65,6 @@ __all__ = [
     "adaptive_gamma_safeguard",
     "anderson_gamma_1",
     "armijo_backtrack",
-    "check_jacobian",
     "decompose_errors",
     "estimate_order",
     "finite_difference_jacobian",
@@ -82,4 +81,5 @@ __all__ = [
     "quasi_restart_count",
     "solve",
     "solve_linear",
+    "step_gains",
 ]

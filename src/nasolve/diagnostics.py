@@ -1,9 +1,9 @@
 """Post-hoc analysis of solver runs.
 
 Convergence-order estimation from step norms, null/range error decomposition
-against ground truth, optimization-gain histories, and safeguard-behavior
-summaries.  All functions here are pure over immutable reports and safe for
-concurrent use.
+against ground truth, step ratios and optimization gains derived from the
+records, and safeguard-behavior summaries.  All functions here are pure over
+immutable reports and safe for concurrent use.
 """
 
 import math
@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _difference_matrix, _norm
+
 __all__ = [
     "OrderUndefined",
     "MissingGroundTruth",
     "ConvergenceReport",
     "estimate_order",
     "decompose_errors",
+    "step_gains",
     "gain_history",
     "quasi_restart_count",
     "null_space_gamma",
@@ -53,10 +56,6 @@ class ConvergenceReport:
     def iterations(self):
         """Number of steps taken, ``len(records)``."""
         return len(self.records)
-
-    @property
-    def residual_norms(self):
-        return np.array([rec.residual_norm for rec in self.records])
 
     @property
     def step_norms(self):
@@ -134,22 +133,63 @@ def decompose_errors(report, truth):
     return out
 
 
+def _ratio(a, b):
+    """a / b for floats, with the IEEE inf or NaN where b is 0."""
+    return a / b if b else float(np.float64(a) / b)
+
+
+def step_gains(report):
+    """Per record, the step ratio and optimization gains (eta, theta, theta_lambda).
+
+    ``eta`` = |w_k| / |w_{k-1}| is the ratio of consecutive step norms, None
+    on the first record.  ``theta`` = |w - F gamma| / |w| is how much the
+    mixing coefficient gamma shrinks the Newton step w, ``theta_lambda`` the
+    same ratio for the safeguarded lambda * gamma; both are None without a
+    gamma.  At depth 1 (a float gamma) F is w - w_prev and lambda is
+    ``decision.lambda_value``.  At depth m (a vector of length m_k) F holds
+    the differences of the m_k+1 newest steps, newest first, theta_lambda =
+    theta, and theta is 0 for a zero step.  The float arithmetic is that of
+    the step loop, so the values are those the step's own norms give to the
+    bit; a zero divisor gives inf or NaN, not an error.
+    """
+    records = report.records
+    gains = []
+    prev = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, rec in enumerate(records):
+            w, norm, gamma = rec.w, rec.step_norm, rec.gamma
+            eta = None if prev is None else _ratio(norm, prev.step_norm)
+            theta = theta_lam = None
+            if isinstance(gamma, np.ndarray):
+                m_k = len(gamma)
+                if m_k > i:
+                    raise ValueError(f"record {i} mixes {m_k} earlier steps")
+                F = _difference_matrix([r.w for r in records[i - m_k:i + 1]], m_k)
+                theta = theta_lam = _norm(w - F @ gamma) / norm if norm > 0.0 else 0.0
+            elif gamma is not None:
+                d = w - prev.w
+                theta = _ratio(_norm(w - gamma * d), norm)
+                lam = rec.decision.lambda_value
+                theta_lam = (
+                    theta if lam == 1.0 else _ratio(_norm(w - (lam * gamma) * d), norm)
+                )
+            gains.append((eta, theta, theta_lam))
+            prev = rec
+    return gains
+
+
 def gain_history(report):
     """Optimization gains per mixing step: (theta, theta_lambda).
 
     ``theta`` measures how much the unconstrained mixing coefficient shrinks
     the Newton step; ``theta_lambda`` is the same ratio for the safeguarded
     (lambda-scaled) coefficient, and equals ``theta`` on unsafeguarded steps.
+    Both are derived by ``step_gains``.
     """
-    pairs = [
-        (rec.theta, rec.theta_lambda)
-        for rec in report.records
-        if rec.theta is not None
-    ]
+    pairs = [(t, tl) for _, t, tl in step_gains(report) if t is not None]
     if not pairs:
         raise ValueError("the run contains no Anderson-mixing steps")
-    theta = np.array([t for t, _ in pairs])
-    theta_lambda = np.array([tl for _, tl in pairs])
+    theta, theta_lambda = map(np.array, zip(*pairs))
     return theta, theta_lambda
 
 

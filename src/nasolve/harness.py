@@ -2,10 +2,10 @@
 
 Subcommands: ``solve`` (one problem, one configuration), ``sweep`` (vary a
 problem parameter over a grid), ``compare`` (several configurations on one
-problem), and ``verify`` (ad-hoc brute-force oracle checks).  Histories and
-summaries are emitted as plot-ready CSV or JSON with floats printed as their
-shortest exact repr, so identical experiment specs produce byte-identical
-output.
+problem), and ``verify fold`` (locate the Bratu fold by continuation).
+Histories and summaries are emitted as plot-ready CSV or JSON with floats
+printed as their shortest exact repr, so identical experiment specs produce
+byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 when every cell of an experiment
 failed to converge.
@@ -22,16 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
-from .diagnostics import _step_orders
+from .diagnostics import _step_orders, step_gains
 from .problem import PROBLEM_IDS, problem_from_id
 from .solver import (
     ACTIVATIONS,
     METHODS,
     ArmijoConfig,
     SolverConfig,
-    anderson_gamma_1,
-    gamma_safeguard,
     solve,
 )
 
@@ -161,10 +158,12 @@ def history_rows(report):
     """Per-iteration rows matching CSV_COLUMNS.
 
     Floats are plain Python floats; missing and non-finite values are None.
+    eta, theta and theta_lambda come from ``step_gains``.
     """
     rows = []
     qs = [None] + _step_orders([rec.step_norm for rec in report.records])
-    for rec, q in zip(report.records, qs):
+    for rec, q, gains in zip(report.records, qs, step_gains(report)):
+        eta, theta, theta_lam = gains
         gamma = rec.gamma
         if isinstance(gamma, np.ndarray):
             gamma = [_finite(g) for g in gamma]
@@ -177,11 +176,11 @@ def history_rows(report):
                 "step_norm": _finite(rec.step_norm),
                 "gamma": gamma,
                 "lambda": _finite(rec.lam),
-                "eta": _finite(rec.eta),
+                "eta": _finite(eta),
                 "r_used": _finite(rec.r_used),
                 "beta": _finite(rec.beta),
-                "theta": _finite(rec.theta),
-                "theta_lambda": _finite(rec.theta_lambda),
+                "theta": _finite(theta),
+                "theta_lambda": _finite(theta_lam),
                 "decision": rec.decision.case if rec.decision is not None else None,
                 "q": q,
             }
@@ -448,29 +447,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
-    if args.check == "safeguard":
-        lam_oracle = oracle.safeguard_case_oracle(args.gamma, args.beta)
-        # the gate r * eta is beta exactly for r = 0.5, eta = 2 * beta
-        lam_solver = gamma_safeguard(args.gamma, 2.0 * args.beta, 0.5).lambda_value
-        print(f"gamma={args.gamma!r} beta={args.beta!r}")
-        print(f"solver lambda = {lam_solver!r}")
-        print(f"oracle lambda = {lam_oracle!r}")
-        return 0 if abs(lam_solver - lam_oracle) <= 1e-14 else 2
-    if args.check == "gamma-grid":
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            w_next = rng.standard_normal(4)
-            w_prev = rng.standard_normal(4)
-            scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
-            closed = anderson_gamma_1(w_next, w_next - w_prev, scale)
-            gridded = oracle.gamma_grid_oracle(
-                w_next, w_prev, closed - 1.0, closed + 1.0, args.step
-            )
-            worst = max(worst, abs(closed - gridded))
-        print(f"max |closed form - grid oracle| over {args.trials} trials: {worst!r}")
-        return 0 if worst <= args.step else 2
-    # fold
+    """verify fold: the last lambda at which the warm-started sweep converged."""
     lam = fold_sweep(args.n, args.start, args.end, args.step)
     print(f"last converged lambda: {lam!r}")
     return 0 if lam is not None else 2
@@ -500,13 +477,9 @@ def build_parser():
     p_cmp = subs.add_parser("compare", help="compare several methods on one problem")
     _add_solver_flags(p_cmp)
 
-    p_ver = subs.add_parser("verify", help="ad-hoc brute-force oracle checks")
-    p_ver.add_argument("check", choices=("safeguard", "gamma-grid", "fold"))
-    p_ver.add_argument("--gamma", type=float, default=0.5)
-    p_ver.add_argument("--beta", type=float, default=0.25)
-    p_ver.add_argument("--trials", type=int, default=100)
+    p_ver = subs.add_parser("verify", help="locate the Bratu fold by continuation")
+    p_ver.add_argument("check", choices=("fold",))
     p_ver.add_argument("--step", type=float, default=1e-4)
-    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--n", type=int, default=200)
     p_ver.add_argument("--start", type=float, default=3.0)
     p_ver.add_argument("--end", type=float, default=3.6)

@@ -125,6 +125,18 @@ def _all_finite(v):
     return not v.size or math.isfinite(blas.ddot(v, v)) or bool(np.isfinite(v).all())
 
 
+def _norm(v):
+    """Euclidean norm of a C-contiguous 1-D array, bitwise equal to
+    ``np.linalg.norm`` (which also takes the square root of ``v.dot(v)``)."""
+    return math.sqrt(v.dot(v))
+
+
+def _difference_matrix(vectors, m_k):
+    """The n-by-m_k matrix of differences of the m_k+1 newest vectors, newest
+    first: column j is ``vectors[-1-j] - vectors[-2-j]``."""
+    return np.column_stack([vectors[-1 - j] - vectors[-2 - j] for j in range(m_k)])
+
+
 def _check_pivots(pivots, info, scale):
     """Raise SingularMatrix on a zero pivot or one below ``eps * scale``.
 

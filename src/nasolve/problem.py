@@ -32,7 +32,6 @@ __all__ = [
     "make_singular_quadratic",
     "make_chandrasekhar",
     "make_bratu_1d",
-    "check_jacobian",
     "finite_difference_jacobian",
     "problem_from_id",
     "PROBLEM_IDS",
@@ -235,8 +234,8 @@ def make_bratu_1d(lam, n):
     n = int(n)
     if n < 3:
         raise ValueError(f"need at least 3 interior points, got {n}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     h2 = (1.0 / (n + 1)) ** 2
     # shared by every Jacobian as both off-diagonal bands, so kept read-only
     off = np.full(n - 1, 1.0 / h2)
@@ -268,26 +267,6 @@ def make_bratu_1d(lam, n):
     )
 
 
-def check_jacobian(p, x, h):
-    """Max column-wise discrepancy between analytic and central-difference Jacobian.
-
-    Returns ``max_j || (f(x + h e_j) - f(x - h e_j)) / 2h - f'(x) e_j ||_inf``.
-    """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    J = np.asarray(p.jacobian(x), dtype=float)
-    worst = 0.0
-    for j in range(p.dimension):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fd = (np.asarray(p.residual(xp)) - np.asarray(p.residual(xm))) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(fd - J[:, j]))))
-    return worst
-
-
 # id -> (constructor, its parameters in call order with their defaults);
 # the constructor converts and checks each value
 _BUILT_INS = {
@@ -303,7 +282,7 @@ def problem_from_id(problem_id, params=None):
 
     Recognized ids: ``singular_quadratic`` (no parameters),
     ``chandrasekhar`` (``c`` in (0, 1], grid size ``n``), and ``bratu1d``
-    (``lambda`` >= 0, interior points ``n``).
+    (finite ``lambda`` >= 0, interior points ``n``).
     """
     if problem_id not in _BUILT_INS:
         raise ValueError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")

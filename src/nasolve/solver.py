@@ -34,6 +34,8 @@ from .linalg import (
     NonFiniteInput,
     SingularMatrix,
     _all_finite,
+    _difference_matrix,
+    _norm,
     least_squares,
     solve_linear,
 )
@@ -157,8 +159,10 @@ _NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
 
 class IterationRecord(NamedTuple):
     """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
-    the mixing/safeguard quantities when the method produced them (None
-    otherwise, e.g. on pure Newton steps).
+    the mixing coefficient and safeguard decision when the method produced
+    them (None otherwise, e.g. on pure Newton steps).  The step ratio eta
+    and the optimization gains theta and theta_lambda follow from the
+    records; ``diagnostics.step_gains`` derives them.
 
     An immutable named tuple: fields are read by name, assigning one raises
     ``AttributeError``, and an instance holds no ``__dict__``.
@@ -170,9 +174,6 @@ class IterationRecord(NamedTuple):
     residual_norm: float
     step_norm: float
     gamma: float | np.ndarray | None = None
-    eta: float | None = None
-    theta: float | None = None
-    theta_lambda: float | None = None
     decision: SafeguardDecision | None = None
     ls_t: float | None = None
     ls_ok: bool = True
@@ -224,7 +225,7 @@ def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
     return xn - (lam * gamma) * (xn - (x_km1 + w_prev))
 
 
-def na_m_update(iterates, steps, m, wn):
+def na_m_update(iterates, steps, m):
     """Depth-m Anderson update from iterate/step histories.
 
     ``iterates`` holds float arrays x_{k-j}, ..., x_k (most recent last) and
@@ -234,11 +235,7 @@ def na_m_update(iterates, steps, m, wn):
     only the n newest differences are used): difference matrices F (steps) and
     E (iterates) are assembled newest-first, gamma solves the least-squares
     problem min |w_{k+1} - F gamma|, and the update is
-    x_k + w_{k+1} - (E + F) gamma.
-
-    ``wn`` is the Euclidean norm |w_{k+1}|.  Returns ``(next iterate, gamma
-    vector, theta)`` where theta is the optimization gain
-    |w_{k+1} - F gamma| / |w_{k+1}|.
+    x_k + w_{k+1} - (E + F) gamma.  Returns ``(next iterate, gamma vector)``.
     """
     if m < 1:
         raise ValueError("depth m must be a positive integer")
@@ -246,12 +243,10 @@ def na_m_update(iterates, steps, m, wn):
         raise ValueError("need at least one prior iterate and step")
     w_next = steps[-1]
     m_k = min(m, len(steps) - 1, len(iterates) - 1, len(w_next))
-    F = np.column_stack([steps[-1 - j] - steps[-2 - j] for j in range(m_k)])
-    E = np.column_stack([iterates[-1 - j] - iterates[-2 - j] for j in range(m_k)])
+    F = _difference_matrix(steps, m_k)
+    E = _difference_matrix(iterates, m_k)
     gamma = least_squares(F, w_next)
-    theta = float(_norm(w_next - F @ gamma) / wn) if wn > 0.0 else 0.0
-    x_next = iterates[-1] + w_next - (E + F) @ gamma
-    return x_next, gamma, theta
+    return iterates[-1] + w_next - (E + F) @ gamma, gamma
 
 
 def gamma_safeguard(gamma, eta, r):
@@ -327,12 +322,6 @@ def _residual(p, x):
     if f.shape != x.shape:
         raise ValueError(f"residual returned shape {f.shape}, expected {x.shape}")
     return f
-
-
-def _norm(v):
-    """Euclidean norm of a C-contiguous 1-D array, bitwise equal to
-    ``np.linalg.norm`` (which also takes the square root of ``v.dot(v)``)."""
-    return math.sqrt(v.dot(v))
 
 
 def solve(p, x0, cfg):
@@ -417,10 +406,7 @@ def solve(p, x0, cfg):
             if step_norm < latch_below:
                 latched = True
 
-            gamma = theta = theta_lam = decision = None
-            prev = records[-1] if records else None
-            eta = step_norm / prev.step_norm if prev is not None else None
-
+            gamma = decision = None
             if k == 0 or cfg.method == "newton":
                 x_next = x + w
             elif cfg.m > 1 and not latched:  # na; gna/agna have m = 1
@@ -430,13 +416,10 @@ def solve(p, x0, cfg):
                     iterates = [rec.x for rec in window] + [x]
                     steps = [rec.w for rec in window] + [w]
                     try:
-                        x_next, gamma, theta = na_m_update(
-                            iterates, steps, cfg.m, step_norm
-                        )
+                        x_next, gamma = na_m_update(iterates, steps, cfg.m)
                     except NonFiniteInput:
                         pass  # two earlier steps' difference overflows
                     else:
-                        theta_lam = theta
                         decision = _NOT_APPLIED
                 if x_next is None:
                     # a step whose norm overflows, or a window whose
@@ -444,21 +427,17 @@ def solve(p, x0, cfg):
                     # non-finite, the loop top reports diverged
                     x_next = x + w
             else:
-                d = w - prev.w
-                gamma = anderson_gamma_1(w, d, step_norm + prev.step_norm)
+                prev = records[-1]
+                gamma = anderson_gamma_1(w, w - prev.w, step_norm + prev.step_norm)
                 if not latched:
                     decision = _NOT_APPLIED
-                elif cfg.method == "gna":
-                    decision = gamma_safeguard(gamma, eta, cfg.r)
-                else:  # agna, or na after the switch
-                    decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
-                lam = decision.lambda_value
-                x_next = na_update(x, prev.x, w, prev.w, gamma, lam)
-                theta = _norm(w - gamma * d) / step_norm
-                theta_lam = (
-                    theta if lam == 1.0
-                    else _norm(w - (lam * gamma) * d) / step_norm
-                )
+                else:
+                    eta = step_norm / prev.step_norm
+                    if cfg.method == "gna":
+                        decision = gamma_safeguard(gamma, eta, cfg.r)
+                    else:  # agna, or na after the switch
+                        decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
+                x_next = na_update(x, prev.x, w, prev.w, gamma, decision.lambda_value)
 
             ls_t = f_next = None
             ls_ok = True
@@ -472,8 +451,7 @@ def solve(p, x0, cfg):
                     )
 
             records.append(IterationRecord(
-                k, x, w, rnorm, step_norm, gamma, eta, theta, theta_lam,
-                decision, ls_t, ls_ok,
+                k, x, w, rnorm, step_norm, gamma, decision, ls_t, ls_ok
             ))
             x, f = x_next, f_next
             k += 1

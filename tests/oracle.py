@@ -1,4 +1,4 @@
-"""Independent brute-force verifiers used by the tests and the CLI.
+"""Independent brute-force verifiers used by the tests.
 
 Everything here is deliberately written as a separate code path from the
 solver fast paths (no shared helpers for the safeguard formula), so
@@ -7,7 +7,7 @@ differential tests catch transcription errors in the case logic.
 
 import numpy as np
 
-__all__ = ["gamma_grid_oracle", "safeguard_case_oracle"]
+__all__ = ["check_jacobian", "gamma_grid_oracle", "safeguard_case_oracle"]
 
 
 def gamma_grid_oracle(w_next, w_prev, lo, hi, step):
@@ -50,3 +50,23 @@ def safeguard_case_oracle(gamma, beta):
             return beta / (gamma * (beta + 1.0))
         return beta / (gamma * (beta - 1.0))
     return 1.0
+
+
+def check_jacobian(p, x, h):
+    """Max column-wise discrepancy between analytic and central-difference Jacobian.
+
+    Returns ``max_j || (f(x + h e_j) - f(x - h e_j)) / 2h - f'(x) e_j ||_inf``.
+    """
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    J = np.asarray(p.jacobian(x), dtype=float)
+    worst = 0.0
+    for j in range(p.dimension):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fd = (np.asarray(p.residual(xp)) - np.asarray(p.residual(xm))) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(fd - J[:, j]))))
+    return worst

@@ -3,9 +3,12 @@
 Prints one sha256 per group of solves and one over all of them.  Each solve
 contributes every field of every IterationRecord (and of its
 SafeguardDecision), the status, the iteration count and ``x_final``, or the
-type and message of the exception it raised.  Floats and arrays enter as
-their bytes and type names, so two checkouts print the same digests exactly
-when their solves agree bit for bit.  Use it to show that a refactor leaves
+type and message of the exception it raised.  Where a record does not store
+``eta``, ``theta`` and ``theta_lambda``, the values that
+``nasolve.diagnostics.step_gains`` derives take their place, in the same
+order; on a checkout whose records still hold them, the attributes are read.
+Floats and arrays enter as their bytes and type names, so two checkouts
+print the same digests exactly when their solves agree bit for bit.  Use it to show that a refactor leaves
 every number unchanged:
 
     PYTHONPATH=src python tests/record_digest.py
@@ -37,6 +40,7 @@ import numpy as np  # noqa: E402
 import nasolve  # noqa: E402
 from nasolve import (  # noqa: E402
     ArmijoConfig,
+    IterationRecord,
     NonlinearProblem,
     SolverConfig,
     make_bratu_1d,
@@ -53,6 +57,7 @@ RECORD_ATTRS = (
     "beta", "theta", "theta_lambda", "decision", "ls_t", "ls_ok",
 )
 DECISION_ATTRS = ("case", "lambda_value", "eta", "r_used", "beta")
+DERIVED_ATTRS = ("eta", "theta", "theta_lambda")
 
 
 def _feed(h, value):
@@ -81,9 +86,18 @@ def _feed_solve(h, p, x0, cfg):
     _feed(h, report.status)
     _feed(h, report.iterations)
     _feed(h, report.x_final)
-    for rec in report.records:
+    for rec, derived in zip(report.records, _derived(report)):
         for name in RECORD_ATTRS:
-            _feed(h, getattr(rec, name))
+            _feed(h, derived[name] if name in derived else getattr(rec, name))
+
+
+def _derived(report):
+    """Per record, the DERIVED_ATTRS values the record does not store."""
+    if DERIVED_ATTRS[0] in IterationRecord._fields:
+        return [{}] * len(report.records)
+    from nasolve.diagnostics import step_gains
+
+    return [dict(zip(DERIVED_ATTRS, gains)) for gains in step_gains(report)]
 
 
 MATRIX_CONFIGS = (

@@ -26,9 +26,10 @@ from nasolve import (
     na_m_update,
     solve,
     solve_linear,
+    step_gains,
 )
 from nasolve.harness import ExperimentSpec, emit_history, fold_sweep, run_experiment
-from nasolve.oracle import gamma_grid_oracle, safeguard_case_oracle
+from oracle import gamma_grid_oracle, safeguard_case_oracle
 
 
 @contextmanager
@@ -84,8 +85,8 @@ def test_criterion_1_safeguard_bounds(matrix_reports):
             if report.status != "converged":
                 continue
             converged += 1
-            for rec in report.records:
-                if rec.lam is None or rec.eta is None or rec.eta >= 1.0:
+            for rec, (eta, _, _) in zip(report.records, step_gains(report)):
+                if rec.lam is None or eta is None or eta >= 1.0:
                     continue
                 lg = abs(rec.lam * rec.gamma)
                 case = rec.decision.case
@@ -121,9 +122,9 @@ def test_criterion_2_gamma_optimality(matrix_reports):
                 wide = gamma_grid_oracle(w_next, w_prev, -10.0, 10.0, 1e-3)
                 assert abs(gamma - wide) <= 1e-3 + 1e-12
         for _, _, report in matrix_reports:
-            for rec in report.records:
-                if rec.theta is not None:
-                    assert rec.theta <= 1.0 + 1e-12
+            for _, theta, _ in step_gains(report):
+                if theta is not None:
+                    assert theta <= 1.0 + 1e-12
 
 
 def test_criterion_3_differential_safeguard():
@@ -224,7 +225,7 @@ def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
                 if not ws:
                     x = x + w
                 else:
-                    x, _, _ = na_m_update(xs, ws + [w], 1, np.linalg.norm(w))
+                    x, _ = na_m_update(xs, ws + [w], 1)
                 ws.append(w)
                 xs.append(x)
             for rec, x_ref in zip(rep.records, xs):
@@ -301,16 +302,17 @@ def test_criterion_10_determinism_and_io(tmp_path):
         # parse_float=str keeps the text of every JSON float field
         json_rows = json.loads(emit_history(report, "json").decode(), parse_float=str)
         assert len(csv_rows) == len(json_rows) == report.iterations
-        for csv_row, json_row, rec in zip(csv_rows, json_rows, report.records):
+        rows = zip(csv_rows, json_rows, report.records, step_gains(report))
+        for csv_row, json_row, rec, (eta, theta, theta_lam) in rows:
             for key, value in (
                 ("residual_norm", rec.residual_norm),
                 ("step_norm", rec.step_norm),
                 ("lambda", rec.lam),
-                ("eta", rec.eta),
+                ("eta", eta),
                 ("r_used", rec.r_used),
                 ("beta", rec.beta),
-                ("theta", rec.theta),
-                ("theta_lambda", rec.theta_lambda),
+                ("theta", theta),
+                ("theta_lambda", theta_lam),
             ):
                 if value is not None:
                     for text in (csv_row[key], json_row[key]):

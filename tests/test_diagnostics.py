@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from nasolve import (
     ConvergenceReport,
     IterationRecord,
     MissingGroundTruth,
+    NonlinearProblem,
     OrderUndefined,
     SafeguardDecision,
     SolverConfig,
@@ -16,6 +19,7 @@ from nasolve import (
     null_space_gamma,
     quasi_restart_count,
     solve,
+    step_gains,
 )
 
 
@@ -139,12 +143,24 @@ class TestGainHistory:
     def test_unscaled_step_has_unit_scaled_gain(self):
         # a gamma_zero_or_ge_one decision means lambda*gamma = 0: theta_lambda = 1
         p = make_chandrasekhar(1.0, 50)
-        report = solve(p, np.ones(50), SolverConfig(method="agna", r_hat=0.5))
-        zeroed = [rec for rec in report.records
-                  if rec.decision is not None
-                  and rec.decision.case == "gamma_zero_or_ge_one"]
-        for rec in zeroed:
-            assert rec.theta_lambda == pytest.approx(1.0, abs=1e-15)
+        # f = exp has no root: every Newton step is -1, so gamma = 0
+        exp = NonlinearProblem(
+            "exp", 1, np.exp, lambda x: np.exp(x)[:, None], np.zeros(1)
+        )
+        cfg = SolverConfig(method="agna", r_hat=0.5)
+        reports = (
+            solve(p, np.ones(50), cfg),
+            solve(exp, np.zeros(1), dataclasses.replace(cfg, max_iter=5)),
+        )
+        zeroed = [
+            theta_lam
+            for report in reports
+            for rec, (_, _, theta_lam) in zip(report.records, step_gains(report))
+            if rec.decision is not None and rec.decision.case == "gamma_zero_or_ge_one"
+        ]
+        assert len(zeroed) == 4
+        for theta_lam in zeroed:
+            assert theta_lam == pytest.approx(1.0, abs=1e-15)
 
 
 class TestQuasiRestartCount:

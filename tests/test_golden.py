@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nasolve import ArmijoConfig, SolverConfig, harness
+from nasolve import ArmijoConfig, SolverConfig, harness, step_gains
 from nasolve.harness import ExperimentSpec, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,14 +116,13 @@ def test_cli_reproduces_golden(name, tmp_path, capsys):
 
 
 RECORD_FLOATS = (
-    "residual_norm", "step_norm", "gamma", "lam", "eta", "r_used", "beta", "theta",
-    "theta_lambda", "ls_t",
+    "residual_norm", "step_norm", "gamma", "lam", "r_used", "beta", "ls_t",
 )
 DECISION_FLOATS = ("lambda_value", "eta", "r_used", "beta")
 
 
-def _records(name, outdir, monkeypatch):
-    """Every record of the solves that experiment ``name`` runs."""
+def _reports(name, outdir, monkeypatch):
+    """Every report of the solves that experiment ``name`` runs."""
     reports, solve = [], harness.solve
 
     def solve_and_keep(*args):
@@ -132,28 +131,31 @@ def _records(name, outdir, monkeypatch):
 
     monkeypatch.setattr(harness, "solve", solve_and_keep)
     _run(name, outdir)
-    return [rec for report in reports for rec in report.records]
+    return reports
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_record_floats_are_python_floats(name, tmp_path, monkeypatch):
     checked = 0
-    for rec in _records(name, tmp_path, monkeypatch):
-        values = [getattr(rec, f) for f in RECORD_FLOATS]
-        if rec.decision is not None:
-            values += [getattr(rec.decision, f) for f in DECISION_FLOATS]
-        for value in values:
-            if value is not None and not isinstance(value, np.ndarray):
-                assert type(value) is float, (name, rec.k, value)
-                checked += 1
+    for report in _reports(name, tmp_path, monkeypatch):
+        # eta, theta and theta_lambda as step_gains derives them
+        for rec, gains in zip(report.records, step_gains(report)):
+            values = [getattr(rec, f) for f in RECORD_FLOATS] + list(gains)
+            if rec.decision is not None:
+                values += [getattr(rec.decision, f) for f in DECISION_FLOATS]
+            for value in values:
+                if value is not None and not isinstance(value, np.ndarray):
+                    assert type(value) is float, (name, rec.k, value)
+                    checked += 1
     assert checked > 0
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_decisions_hold_their_invariant(name, tmp_path, monkeypatch, check_decision):
-    for rec in _records(name, tmp_path, monkeypatch):
-        if rec.decision is not None:
-            check_decision(rec.decision)
+    for report in _reports(name, tmp_path, monkeypatch):
+        for rec in report.records:
+            if rec.decision is not None:
+                check_decision(rec.decision)
 
 
 def regenerate(names=()):

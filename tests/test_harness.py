@@ -11,6 +11,7 @@ from nasolve import (
     make_chandrasekhar,
     make_singular_quadratic,
     solve,
+    step_gains,
 )
 from nasolve.harness import (
     CSV_COLUMNS,
@@ -71,13 +72,14 @@ class TestEmitHistory:
     def test_json_round_trip_exact(self, agna_report):
         data = json.loads(emit_history(agna_report, "json").decode())
         assert len(data) == agna_report.iterations
-        for row, rec in zip(data, agna_report.records):
+        gains = step_gains(agna_report)
+        for row, rec, (eta, _, _) in zip(data, agna_report.records, gains):
             assert row["k"] == rec.k
             assert row["residual_norm"] == rec.residual_norm
             assert row["step_norm"] == rec.step_norm
             if rec.lam is not None:
                 assert row["lambda"] == rec.lam
-                assert row["eta"] == rec.eta
+                assert row["eta"] == eta
                 assert row["beta"] == rec.beta
 
     def test_json_mirrors_csv_fields(self, agna_report):
@@ -97,18 +99,27 @@ class TestEmitHistory:
             emit_history(newton_report, "yaml")
 
     def test_non_finite_values_are_missing(self):
-        rec = IterationRecord(
-            k=0,
-            x=np.zeros(2),
-            w=np.ones(2),
-            residual_norm=1.0,
-            step_norm=np.float64(np.inf),
-            gamma=np.array([np.nan, 0.5]),
-            eta=np.float64(np.nan),
-            theta=-np.inf,
+        # the last record follows a zero step norm, so its eta = inf / 0 is
+        # inf, and its NaN gamma entry makes theta NaN
+        records = tuple(
+            IterationRecord(
+                k=k, x=np.zeros(2), w=np.ones(2), residual_norm=1.0, step_norm=norm
+            )
+            for k, norm in enumerate((1.0, 0.0))
+        ) + (
+            IterationRecord(
+                k=2,
+                x=np.zeros(2),
+                w=np.ones(2),
+                residual_norm=1.0,
+                step_norm=np.inf,
+                gamma=np.array([np.nan, 0.5]),
+            ),
         )
-        report = ConvergenceReport(records=(rec,), status="diverged")
-        line = emit_history(report, "csv").decode().splitlines()[1]
+        report = ConvergenceReport(records=records, status="diverged")
+        eta, theta, _ = step_gains(report)[2]
+        assert eta == np.inf and math.isnan(theta)
+        line = emit_history(report, "csv").decode().splitlines()[3]
         cells = dict(zip(CSV_COLUMNS, line.split(",")))
         assert cells["residual_norm"] == "1.0"
         assert cells["step_norm"] == cells["eta"] == cells["theta"] == ""
@@ -118,7 +129,7 @@ class TestEmitHistory:
             raise AssertionError(f"non-finite JSON token {token}")
 
         text = emit_history(report, "json").decode()
-        row = json.loads(text, parse_constant=reject)[0]
+        row = json.loads(text, parse_constant=reject)[2]
         assert row["step_norm"] is row["eta"] is row["theta"] is None
         assert row["gamma"] == [None, 0.5]
 
@@ -377,13 +388,39 @@ class TestCli:
         ])
         assert rc == 2
 
-    def test_verify_safeguard(self, capsys):
-        assert main(["verify", "safeguard", "--gamma", "0.5", "--beta", "0.25"]) == 0
-        out = capsys.readouterr().out
-        assert "0.4" in out
+    def test_verify_fold_prints_last_converged_lambda(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "fold", "--n", "30", "--start", "3.0", "--end", "3.6",
+                "--step", "0.05"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "last converged lambda: 3.5\n"
+        assert list(tmp_path.iterdir()) == []  # it writes no files
 
-    def test_verify_gamma_grid(self):
-        assert main(["verify", "gamma-grid", "--trials", "25", "--seed", "1"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "safeguard"],
+            ["verify", "gamma-grid"],
+            *(["verify", "fold", flag, "1"]
+              for flag in ("--gamma", "--beta", "--trials", "--seed")),
+        ],
+        ids=["safeguard", "gamma-grid", "gamma", "beta", "trials", "seed"],
+    )
+    def test_removed_verify_checks_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_bratu_lambda_is_usage_error(self, lam, tmp_path, capsys):
+        rc = main([
+            "solve", "--problem", "bratu1d", "--param", f"lambda={lam}",
+            "--param", "n=10", "--output", str(tmp_path / "bad"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: lambda must be finite and nonnegative, got {float(lam)}\n"
+        )
 
     def test_verify_fold_rejects_non_finite_end(self, capsys):
         assert main(["verify", "fold", "--n", "30", "--end", "inf"]) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from nasolve import anderson_gamma_1, gamma_safeguard
 from nasolve.harness import fold_sweep
-from nasolve.oracle import gamma_grid_oracle, safeguard_case_oracle
+from oracle import gamma_grid_oracle, safeguard_case_oracle
 
 
 class TestGammaGridOracle:

@@ -7,13 +7,13 @@ from nasolve import (
     NonlinearProblem,
     SolverConfig,
     Tridiagonal,
-    check_jacobian,
     make_bratu_1d,
     make_chandrasekhar,
     make_singular_quadratic,
     problem_from_id,
     solve,
 )
+from oracle import check_jacobian
 
 
 def terminal_pairwise_order(report):
@@ -144,6 +144,11 @@ class TestBratu1d:
             make_bratu_1d(-0.1, 10)
         with pytest.raises(ValueError):
             make_bratu_1d(1.0, 2)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_raises(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            make_bratu_1d(lam, 10)
 
     def test_lambda_zero_root_is_zero(self):
         p = make_bratu_1d(0.0, 20)

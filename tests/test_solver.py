@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import nasolve.solver as solver_mod
 from nasolve import (
     ArmijoConfig,
+    ConvergenceReport,
     IterationRecord,
     NonlinearProblem,
     SafeguardDecision,
@@ -29,8 +30,9 @@ from nasolve import (
     na_update,
     solve,
     solve_linear,
+    step_gains,
 )
-from nasolve.oracle import gamma_grid_oracle
+from oracle import gamma_grid_oracle
 
 
 def newton_direction(p, x):
@@ -42,11 +44,6 @@ def gamma_1(w_next, w_prev):
     """``anderson_gamma_1`` from the two steps."""
     scale = np.linalg.norm(w_next) + np.linalg.norm(w_prev)
     return anderson_gamma_1(w_next, w_next - w_prev, scale)
-
-
-def na_m(iterates, steps, m):
-    """``na_m_update`` with the norm of the newest step."""
-    return na_m_update(iterates, steps, m, np.linalg.norm(steps[-1]))
 
 
 class TestAndersonGamma1:
@@ -120,7 +117,7 @@ class TestNaMUpdate:
         for _ in range(10):
             x_km1, x_k = rng.standard_normal(4), rng.standard_normal(4)
             w_prev, w_next = rng.standard_normal(4), rng.standard_normal(4)
-            x_m, gamma_m, _ = na_m([x_km1, x_k], [w_prev, w_next], 1)
+            x_m, gamma_m = na_m_update([x_km1, x_k], [w_prev, w_next], 1)
             gamma = gamma_1(w_next, w_prev)
             x_s = na_update(x_k, x_km1, w_next, w_prev, gamma, 1.0)
             scale = 1.0 + np.linalg.norm(x_s)
@@ -131,7 +128,7 @@ class TestNaMUpdate:
         rng = np.random.default_rng(14)
         xs = [rng.standard_normal(3) for _ in range(2)]
         ws = [rng.standard_normal(3) for _ in range(2)]
-        _, gamma, _ = na_m(xs, ws, m=5)
+        _, gamma = na_m_update(xs, ws, m=5)
         assert gamma.shape == (1,)
 
     def test_window_clamped_to_dimension(self):
@@ -139,8 +136,8 @@ class TestNaMUpdate:
         rng = np.random.default_rng(15)
         xs = [rng.standard_normal(2) for _ in range(5)]
         ws = [rng.standard_normal(2) for _ in range(5)]
-        x_next, gamma, _ = na_m(xs, ws, m=4)
-        ref = na_m(xs[-3:], ws[-3:], m=2)
+        x_next, gamma = na_m_update(xs, ws, m=4)
+        ref = na_m_update(xs[-3:], ws[-3:], m=2)
         assert gamma.shape == (2,)
         assert x_next.tobytes() == ref[0].tobytes()
         assert gamma.tobytes() == ref[1].tobytes()
@@ -157,19 +154,48 @@ class TestNaMUpdate:
         assert report.iterations >= 4
         assert all(len(rec.gamma) <= 2 for rec in report.records[1:])
 
+    def test_gain_of_window_clamped_to_dimension(self):
+        # where m_k = len(gamma) = n = 2 is below min(k, m), F holds the
+        # differences of the three newest steps: theta = |w - F gamma| / |w|
+        p = make_singular_quadratic()
+        cfg = SolverConfig(
+            method="na", m=3, linesearch=ArmijoConfig(c1=0.5, max_backtracks=2)
+        )
+        report = solve(p, [1.0, 1.0], cfg)
+        ws = [rec.w for rec in report.records]
+        clamped = 0
+        for k, (rec, gains) in enumerate(zip(report.records, step_gains(report))):
+            if k == 0:
+                continue
+            m_k = len(rec.gamma)
+            F = np.stack([ws[k - j] - ws[k - j - 1] for j in range(m_k)], axis=1)
+            theta = np.linalg.norm(rec.w - F @ rec.gamma) / np.linalg.norm(rec.w)
+            assert gains[1:] == (theta, theta)
+            clamped += m_k < min(k, cfg.m)
+        assert clamped > 0
+
     def test_zero_gamma_gives_newton_iterate(self):
         # equal consecutive steps make F the zero matrix, so gamma = 0
         x_km1 = np.array([1.0, 2.0])
         x_k = np.array([0.5, 1.0])
         w = np.array([0.25, -0.5])
-        x_next, gamma, theta = na_m([x_km1, x_k], [w, w.copy()], 1)
+        x_next, gamma = na_m_update([x_km1, x_k], [w, w.copy()], 1)
         np.testing.assert_array_equal(gamma, [0.0])
         np.testing.assert_array_equal(x_next, x_k + w)
-        assert theta == 1.0
+        norm = float(np.linalg.norm(w))
+        report = ConvergenceReport(
+            records=(
+                IterationRecord(0, x_km1, w, 1.0, norm),
+                IterationRecord(1, x_k, w.copy(), 1.0, norm, gamma),
+            ),
+            status="max_iter",
+        )
+        _, theta, theta_lam = step_gains(report)[1]
+        assert theta == theta_lam == 1.0
 
     def test_needs_history(self):
         with pytest.raises(ValueError):
-            na_m_update([np.zeros(2)], [np.zeros(2)], 1, 0.0)
+            na_m_update([np.zeros(2)], [np.zeros(2)], 1)
 
 
 class TestGammaSafeguard:
@@ -550,7 +576,7 @@ class TestSolve:
         assert report.status == "max_iter"
         assert report.records[0].step_norm == np.inf
         first = report.records[1]
-        assert (first.eta, first.lam) == (0.0, 0.0)
+        assert (step_gains(report)[1][0], first.lam) == (0.0, 0.0)
         np.testing.assert_array_equal(report.records[2].x, first.x + first.w)
         if cfg.method != "gna":
             assert first.r_used == 0.0
@@ -706,8 +732,8 @@ class TestSafeguardInvariants:
         checked = 0
         for report in safeguarded_reports:
             assert report.status == "converged"
-            for rec in report.records:
-                if rec.lam is None or rec.eta is None or rec.eta >= 1.0:
+            for rec, (eta, _, _) in zip(report.records, step_gains(report)):
+                if rec.lam is None or eta is None or eta >= 1.0:
                     continue
                 lg = abs(rec.lam * rec.gamma)
                 if rec.decision.case == "pass_through":
@@ -732,10 +758,10 @@ class TestSafeguardInvariants:
 
     def test_gain_bounded_by_one(self, safeguarded_reports):
         for report in safeguarded_reports:
-            for rec in report.records:
-                if rec.theta is not None:
-                    assert rec.theta <= 1.0 + 1e-12
-                    assert rec.theta <= rec.theta_lambda + 1e-12
+            for _, theta, theta_lam in step_gains(report):
+                if theta is not None:
+                    assert theta <= 1.0 + 1e-12
+                    assert theta <= theta_lam + 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -782,7 +808,7 @@ def manual_na_m_history(p, x0, m, tol=1e-10, max_iter=200):
         if not ws:
             x = x + w
         else:
-            x, _, _ = na_m(xs, ws + [w], m)
+            x, _ = na_m_update(xs, ws + [w], m)
         ws.append(w)
         xs.append(x)
     return xs
@@ -815,9 +841,11 @@ class TestRecordTypes:
     def test_keyword_construction_with_defaults(self):
         rec = bare_record()
         assert (rec.k, rec.residual_norm, rec.step_norm) == (0, 1.0, 2.0)
-        optional = ("gamma", "lam", "eta", "r_used", "beta", "theta",
-                    "theta_lambda", "decision", "ls_t")
+        optional = ("gamma", "lam", "r_used", "beta", "decision", "ls_t")
         assert all(getattr(rec, name) is None for name in optional)
+        # the step ratio and the gains are derived, not stored
+        assert len(rec._fields) == 9
+        assert not {"eta", "theta", "theta_lambda"} & set(rec._fields)
         assert rec.ls_ok is True
         d = SafeguardDecision(case="not_applied", lambda_value=1.0)
         assert (d.case, d.lambda_value, d.eta, d.r_used, d.beta) == (
@@ -829,7 +857,7 @@ class TestRecordTypes:
 
     def test_safeguard_fields_read_from_decision(self):
         d = SafeguardDecision("ratio_exceeded", 0.25, eta=0.5, r_used=0.4, beta=0.2)
-        rec = bare_record(eta=0.5, decision=d)
+        rec = bare_record(decision=d)
         assert (rec.lam, rec.r_used, rec.beta) == (0.25, 0.4, 0.2)
         assert "lam" not in rec._fields
         with pytest.raises(TypeError):

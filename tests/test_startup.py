@@ -23,7 +23,8 @@ FRESH_PROCESS = textwrap.dedent("""
 
     heavy = [name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules]
     assert not heavy, f"import nasolve loaded {heavy}"
-    assert nasolve.harness.main(["verify", "safeguard"]) == 0
+    argv = "verify fold --n 30 --start 3.0 --end 3.6 --step 0.05".split()
+    assert nasolve.harness.main(argv) == 0
 
     # a later import of scipy.linalg runs its own init over the same kernels
     import scipy.linalg
