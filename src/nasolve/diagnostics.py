@@ -58,10 +58,6 @@ class ConvergenceReport:
         return len(self.records)
 
     @property
-    def step_norms(self):
-        return np.array([rec.step_norm for rec in self.records])
-
-    @property
     def r_history(self):
         """Adaptive safeguard parameter r per safeguarded iteration."""
         return np.array(

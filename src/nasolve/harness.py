@@ -232,18 +232,21 @@ def _sweep_values(sweep):
     return name, [start + i * step for i in range(npts)]
 
 
+def _cells(spec):
+    """``(sweep value, problem parameters)`` for each sweep cell, in order."""
+    if spec.sweep is None:
+        return [(None, dict(spec.params))]
+    sweep_name, values = _sweep_values(spec.sweep)
+    return [(v, {**spec.params, sweep_name: v}) for v in values]
+
+
 def _cell_reports(spec):
     """Solve the (sweep value x config) cells of ``spec`` in order, lazily.
 
     Yields ``(i, value, j, cfg, report)`` for sweep cell i and config j.
     """
-    if spec.sweep is not None:
-        sweep_name, values = _sweep_values(spec.sweep)
-        cells = [(v, {**spec.params, sweep_name: v}) for v in values]
-    else:
-        cells = [(None, dict(spec.params))]
     warm = {}
-    for i, (value, params) in enumerate(cells):
+    for i, (value, params) in enumerate(_cells(spec)):
         problem = problem_from_id(spec.problem, params)
         for j, cfg in enumerate(spec.configs):
             x0 = warm.get(j) if spec.warm_start else None
@@ -264,9 +267,14 @@ def run_experiment(spec):
     specs produce byte-identical files.  Per-cell solver failures are
     recorded in the summary, not fatal.
 
+    Every cell's problem and initial iterate are built first, so a rejected
+    parameter in any cell raises ``ValueError`` before anything is written.
+
     Returns ``(exit_code, written_paths)`` with exit code 0 on success and
     2 when no cell converged.
     """
+    for _, params in _cells(spec):
+        initial_iterate(problem_from_id(spec.problem, params), spec.x0)
     outdir = Path(spec.output)
     outdir.mkdir(parents=True, exist_ok=True)
     ext = spec.fmt
@@ -294,19 +302,19 @@ def run_experiment(spec):
     return (2 if all_failed else 0), written
 
 
-def fold_sweep(n, lam_start, lam_end, lam_step, tol=1e-10, max_iter=50):
+def fold_sweep(n, lam_start, lam_end, lam_step):
     """Natural-parameter continuation locating the Bratu fold.
 
     Runs the warm-started ``bratu1d`` Newton sweep of ``run_experiment``
     (lambda from ``lam_start`` to ``lam_end`` in steps of ``lam_step``, the
     first solve from the default iterate) until a cell fails to converge
-    within ``max_iter`` iterations.  Returns the last converged lambda, or
-    None when no solve converged.
+    within 50 iterations at ``SolverConfig``'s default ``tol``.  Returns the
+    last converged lambda, or None when no solve converged.
     """
     spec = ExperimentSpec(
         problem="bratu1d",
         params={"n": n},
-        configs=(SolverConfig(method="newton", tol=tol, max_iter=max_iter),),
+        configs=(SolverConfig(method="newton", max_iter=50),),
         sweep=("lambda", lam_start, lam_end, lam_step),
         warm_start=True,
     )

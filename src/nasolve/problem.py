@@ -32,12 +32,9 @@ __all__ = [
     "make_singular_quadratic",
     "make_chandrasekhar",
     "make_bratu_1d",
-    "finite_difference_jacobian",
     "problem_from_id",
     "PROBLEM_IDS",
 ]
-
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,8 @@ class GroundTruth:
     spanning the null space of the Jacobian at the root.
     """
 
-    is_singular: bool = False
     root: np.ndarray | None = None
     null_vector: np.ndarray | None = None
-    parameter: tuple[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -63,9 +58,6 @@ class NonlinearProblem:
     return a length-n vector and an n-by-n matrix respectively.  The matrix
     is either dense (a 2-D array) or a ``linalg.Tridiagonal``, which the
     solver factors in O(n) and ``np.asarray`` turns into the dense matrix.
-    If ``jacobian`` is None a dense forward-difference fallback with step
-    ``sqrt(eps) * (1 + ||x||)`` is installed; the built-in problems all
-    supply analytic Jacobians.
 
     ``solve`` owns the dense matrix ``jacobian`` returns and may overwrite it
     with its LU factors, so ``jacobian`` must return a fresh array on each
@@ -80,19 +72,15 @@ class NonlinearProblem:
     name: str
     dimension: int
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray | Tridiagonal] | None
+    jacobian: Callable[[np.ndarray], np.ndarray | Tridiagonal]
     default_start: np.ndarray
     metadata: GroundTruth | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.jacobian is None:
-            object.__setattr__(
-                self,
-                "jacobian",
-                finite_difference_jacobian(self.residual, self.dimension),
-            )
+        if not callable(self.jacobian):
+            raise ValueError("a Jacobian is required: jacobian must be callable")
         start = np.asarray(self.default_start, dtype=float)
         if start.shape != (self.dimension,):
             raise ValueError("default_start length does not match dimension")
@@ -119,23 +107,6 @@ class NonlinearProblem:
                     )
 
 
-def finite_difference_jacobian(residual, dimension):
-    """Forward-difference Jacobian fallback with step sqrt(eps)*(1 + ||x||)."""
-
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        h = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
-        f0 = np.asarray(residual(x), dtype=float)
-        J = np.empty((dimension, dimension))
-        for j in range(dimension):
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (np.asarray(residual(xp), dtype=float) - f0) / h
-        return J
-
-    return jacobian
-
-
 def make_singular_quadratic():
     """2-D problem f(x1, x2) = (x1^2, x2) with a singular root at the origin.
 
@@ -152,11 +123,7 @@ def make_singular_quadratic():
         x = np.asarray(x, dtype=float)
         return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])
 
-    truth = GroundTruth(
-        is_singular=True,
-        root=np.zeros(2),
-        null_vector=np.array([1.0, 0.0]),
-    )
+    truth = GroundTruth(root=np.zeros(2), null_vector=np.array([1.0, 0.0]))
     return NonlinearProblem(
         name="singular_quadratic",
         dimension=2,
@@ -210,14 +177,12 @@ def make_chandrasekhar(c, n):
         Jt.flat[:: n + 1] += 1.0
         return Jt.T
 
-    truth = GroundTruth(is_singular=(c == 1.0), parameter=("c", c))
     return NonlinearProblem(
         name="chandrasekhar",
         dimension=n,
         residual=residual,
         jacobian=jacobian,
         default_start=np.ones(n),
-        metadata=truth,
     )
 
 
@@ -252,18 +217,13 @@ def make_bratu_1d(lam, n):
         u = np.asarray(u, dtype=float)
         return Tridiagonal(off, -2.0 / h2 + lam * np.exp(u), off)
 
-    truth = GroundTruth(
-        is_singular=False,
-        root=np.zeros(n) if lam == 0.0 else None,
-        parameter=("lambda", lam),
-    )
     return NonlinearProblem(
         name="bratu1d",
         dimension=n,
         residual=residual,
         jacobian=jacobian,
         default_start=np.zeros(n),
-        metadata=truth,
+        metadata=GroundTruth(root=np.zeros(n)) if lam == 0.0 else None,
     )
 
 

@@ -145,7 +145,7 @@ def test_criterion_4_singular_linear_rate():
         p = make_singular_quadratic()
         report = solve(p, [1.0, 1.0], SolverConfig(method="newton", tol=1e-10))
         assert report.status == "converged"
-        sn = report.step_norms
+        sn = np.array([rec.step_norm for rec in report.records])
         ratios = (sn[1:] / sn[:-1])[-5:]
         assert np.all(np.abs(ratios - 0.5) <= 0.02)
         phi = p.metadata.null_vector

@@ -421,6 +421,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: lambda must be finite and nonnegative, got {float(lam)}\n"
         )
+        assert not (tmp_path / "bad").exists()
+
+    def test_rejected_last_sweep_cell_writes_nothing(self, tmp_path, capsys):
+        # the last cell's c is 0.9 + 2 * 0.1 = 1.1000000000000001, outside (0, 1]
+        rc = main([
+            "sweep", "--problem", "chandrasekhar", "--param", "n=10",
+            "--sweep", "c:0.9:1.1:0.1", "--output", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: c must lie in (0, 1]")
+        assert not (tmp_path / "out").exists()
 
     def test_verify_fold_rejects_non_finite_end(self, capsys):
         assert main(["verify", "fold", "--n", "30", "--end", "inf"]) == 1

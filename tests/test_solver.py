@@ -379,7 +379,7 @@ class TestSolve:
         p = make_singular_quadratic()
         report = solve(p, [1.0, 1.0], SolverConfig(method="newton", tol=1e-10))
         assert report.status == "converged"
-        sn = report.step_norms
+        sn = np.array([rec.step_norm for rec in report.records])
         np.testing.assert_allclose((sn[1:] / sn[:-1])[-5:], 0.5, atol=0.02)
 
     def test_first_step_is_pure_newton(self):
@@ -418,7 +418,7 @@ class TestSolve:
         assert report.status == "converged"
         r_hist = report.r_history
         assert len(r_hist) == 2 and r_hist[1] < r_hist[0] < 1e-2
-        norms = [sn for sn in report.step_norms if sn < 1.0]
+        norms = [rec.step_norm for rec in report.records if rec.step_norm < 1.0]
         assert np.log(norms[-1]) / np.log(norms[-2]) >= 1.7
 
     def test_depth_window_is_min_k_m(self):
