@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _difference_matrix, _norm
+from .linalg import _difference_matrix, _matvec, _norm
 
 __all__ = [
     "OrderUndefined",
@@ -161,7 +161,9 @@ def step_gains(report):
                 if m_k > i:
                     raise ValueError(f"record {i} mixes {m_k} earlier steps")
                 F = _difference_matrix([r.w for r in records[i - m_k:i + 1]], m_k)
-                theta = theta_lam = _norm(w - F @ gamma) / norm if norm > 0.0 else 0.0
+                theta = theta_lam = (
+                    _norm(w - _matvec(F, gamma)) / norm if norm > 0.0 else 0.0
+                )
             elif gamma is not None:
                 d = w - prev.w
                 theta = _ratio(_norm(w - gamma * d), norm)

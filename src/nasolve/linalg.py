@@ -23,6 +23,9 @@ that no solve uses.  The routines are the very objects that
 is scipy.linalg.lapack.dgetrf`` once both are imported), so every result is
 the same.  ``scipy.linalg`` itself stays unimported, and a later ``import
 scipy.linalg`` runs its usual init over the two modules already loaded.
+The private ``_norm``, ``_dot`` and ``_matvec`` compute every product of a
+solve on this BLAS, bitwise equal to NumPy's ``@`` on NumPy's own OpenBLAS
+build, so that the products depend on one BLAS build, not two.
 """
 
 import importlib.util
@@ -126,9 +129,32 @@ def _all_finite(v):
 
 
 def _norm(v):
-    """Euclidean norm of a C-contiguous 1-D array, bitwise equal to
-    ``np.linalg.norm`` (which also takes the square root of ``v.dot(v)``)."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a C-contiguous 1-D float array, bitwise equal to
+    ``np.linalg.norm``, which takes the square root of ``v.dot(v)``: the same
+    ``ddot``, on SciPy's BLAS.  A sum of squares is never -0.0, so unlike
+    ``_dot`` it needs no 0.0 added."""
+    return math.sqrt(blas.ddot(v, v))
+
+
+def _dot(a, b):
+    """``a @ b`` for two 1-D float arrays, on SciPy's BLAS, bitwise equal to
+    NumPy's: it adds the ``ddot`` to 0.0, which turns a -0.0 sum into 0.0."""
+    return 0.0 + blas.ddot(a, b)
+
+
+def _matvec(M, v):
+    """``M @ v`` on SciPy's BLAS for a C-contiguous 2-D float ``M`` (or the
+    transpose of a Fortran-contiguous one), summed as NumPy's matmul sums it:
+    one row as a dot product, one column in its own loop without BLAS (0.0 +
+    M[i, 0] * v[0]), any other shape as ``dgemv_t`` over the rows."""
+    rows, cols = M.shape
+    if rows == 1:
+        return np.array([_dot(M[0], v)])
+    if cols == 1:
+        return M[:, 0] * v[0] + 0.0
+    # trans=1 after the defaults of beta, y, offx, incx, offy and incy:
+    # f2py parses positional arguments in half the time of the keyword
+    return blas.dgemv(1.0, M.T, v, 0.0, None, 0, 1, 0, 1, 1)
 
 
 def _difference_matrix(vectors, m_k):
@@ -234,8 +260,9 @@ def least_squares(F, b):
     g = np.zeros(m)
     if rank:
         Q = lapack.dorgqr(qr, tau)[0]
+        qtb = _matvec(Q[:, :rank].T, b)
         # R x = Q^T b as scipy solves a C-ordered R: the transposed lower
         # system, whose summation order differs from the upper one
-        y = lapack.dtrtrs(qr[:rank, :rank].T, Q[:, :rank].T @ b, lower=1, trans=1)[0]
+        y = lapack.dtrtrs(qr[:rank, :rank].T, qtb, lower=1, trans=1)[0]
         g[perm[:rank] - 1] = y
     return g

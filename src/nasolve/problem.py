@@ -121,7 +121,7 @@ def make_singular_quadratic():
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
-        return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])
+        return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]], order="F")
 
     truth = GroundTruth(root=np.zeros(2), null_vector=np.array([1.0, 0.0]))
     return NonlinearProblem(

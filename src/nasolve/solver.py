@@ -35,7 +35,10 @@ from .linalg import (
     SingularMatrix,
     _all_finite,
     _difference_matrix,
+    _dot,
+    _matvec,
     _norm,
+    blas,
     least_squares,
     solve_linear,
 )
@@ -206,10 +209,10 @@ def anderson_gamma_1(w_next, d, scale):
     equal to machine precision) the coefficient is defined as 0, i.e. a pure
     Newton step.
     """
-    dd = float(d @ d)
+    dd = blas.ddot(d, d)
     if math.sqrt(dd) <= _EPS * scale:
         return 0.0
-    return float((d @ w_next) / dd)
+    return _dot(d, w_next) / dd
 
 
 def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
@@ -246,7 +249,7 @@ def na_m_update(iterates, steps, m):
     F = _difference_matrix(steps, m_k)
     E = _difference_matrix(iterates, m_k)
     gamma = least_squares(F, w_next)
-    return iterates[-1] + w_next - (E + F) @ gamma, gamma
+    return iterates[-1] + w_next - _matvec(E + F, gamma), gamma
 
 
 def gamma_safeguard(gamma, eta, r):
@@ -288,6 +291,11 @@ def adaptive_gamma_safeguard(gamma, eta, r_hat):
     return gamma_safeguard(gamma, eta, min(eta, r_hat))
 
 
+class _UnusableDirection(ValueError):
+    """``armijo_backtrack`` was given a zero or non-finite direction; ``solve``
+    takes that as the answer to whether to search at all."""
+
+
 def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fnorm):
     """Backtracking linesearch on 0.5*|f|^2 along the float array ``direction``.
 
@@ -296,20 +304,22 @@ def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fnorm):
     given ``fnorm`` = |f(x)|.  Returns ``(t, accepted, x_t, f_t)``: the step
     length, whether it was accepted, the trial point x + t*d and its
     residual.  When no trial is accepted the last trial is returned with
-    ``accepted = False`` so the caller can flag the record.
+    ``accepted = False`` so the caller can flag the record.  Raises
+    ``ValueError`` on a zero or non-finite direction.
     """
     if not (_all_finite(direction) and np.count_nonzero(direction)):
-        raise ValueError("direction must be finite and nonzero")
+        raise _UnusableDirection("direction must be finite and nonzero")
     fn2 = fnorm**2
     t = 1.0
     xt = ft = None
     for i in range(max_backtracks):
         if i:
             t *= shrink
-        xt = x + t * direction
+        # the first trial skips the product 1.0 * d, which is d bit for bit
+        xt = x + t * direction if i else x + direction
         ft = _residual(p, xt)
-        # a non-finite ft gives an inf or NaN ft @ ft, which fails the test
-        if 0.5 * float(ft @ ft) <= 0.5 * fn2 - c1 * t * fn2:
+        # a non-finite ft gives an inf or NaN ft . ft, which fails the test
+        if 0.5 * blas.ddot(ft, ft) <= 0.5 * fn2 - c1 * t * fn2:
             return t, True, xt, ft
     return t, False, xt, ft
 
@@ -442,13 +452,15 @@ def solve(p, x0, cfg):
             ls_t = f_next = None
             ls_ok = True
             if cfg.linesearch is not None:
-                dx = x_next - x
-                # a non-finite step is left to the divergence test at the loop top
-                if np.count_nonzero(dx) and _all_finite(dx):
-                    ls = cfg.linesearch
+                ls = cfg.linesearch
+                try:
                     ls_t, ls_ok, x_next, f_next = armijo_backtrack(
-                        p, x, dx, ls.c1, ls.shrink, ls.max_backtracks, rnorm
+                        p, x, x_next - x, ls.c1, ls.shrink, ls.max_backtracks, rnorm
                     )
+                except _UnusableDirection:
+                    # a zero step is not searched; a non-finite one is left
+                    # to the divergence test at the loop top
+                    pass
 
             records.append(IterationRecord(
                 k, x, w, rnorm, step_norm, gamma, decision, ls_t, ls_ok

@@ -159,6 +159,42 @@ def _overflow_window_problem():
     )
 
 
+EDGE_METHODS = (
+    SolverConfig(method="newton"),
+    SolverConfig(method="na", m=1),
+    SolverConfig(method="na", m=2),
+    SolverConfig(method="gna"),
+    SolverConfig(method="agna"),
+)
+
+
+def _linesearch_edge_jobs():
+    """Each method under Armijo on the directions the linesearch treats
+    apart: a step lost to rounding (x + w == x, a zero direction), steps
+    that overflow, and searches that use up ``max_backtracks``."""
+    lost = NonlinearProblem(
+        "lost_step", 1, lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
+        np.array([1e20]),
+    )
+    # Newton overshoots arctan from 10; t = 1/8 is the first accepted step
+    arctan = NonlinearProblem(
+        "arctan", 1, np.arctan, lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        np.array([10.0]),
+    )
+    ls, short = ArmijoConfig(), ArmijoConfig(max_backtracks=3)
+    jobs = []
+    for cfg in EDGE_METHODS:
+        jobs.append((lost, lost.default_start,
+                     dataclasses.replace(cfg, linesearch=ls, max_iter=5)))
+        # the first overflows on the Newton step, the second on the next step
+        for p in _overflow_problems()[:2]:
+            jobs.append((p, p.default_start,
+                         dataclasses.replace(cfg, linesearch=ls, divergence_cap=np.inf)))
+        jobs.append((arctan, arctan.default_start,
+                     dataclasses.replace(cfg, linesearch=short, max_iter=30)))
+    return jobs
+
+
 def groups():
     """(name, [(problem, x0, cfg), ...]) for every group of solves."""
     sq = make_singular_quadratic()
@@ -233,6 +269,8 @@ def groups():
          SolverConfig(method="na", m=m, divergence_cap=np.inf, max_iter=5))
         for m in (1, 2, 3)
     ]
+
+    yield "linesearch edge directions", _linesearch_edge_jobs()
 
 
 def main():

@@ -27,7 +27,7 @@ def _load_record_digest():
 def test_record_digest_builds_and_digests_its_groups(monkeypatch):
     rd = _load_record_digest()
     groups = list(rd.groups())
-    assert len(groups) == 8
+    assert len(groups) == 9
     assert all(jobs for _, jobs in groups)
 
     raised = []
@@ -51,6 +51,6 @@ def test_record_digest_builds_and_digests_its_groups(monkeypatch):
             for p, x0, cfg in jobs:
                 rd._feed_solve(h, p, x0, cfg)
             digests[name] = h.hexdigest()
-    assert len(digests) == 5
+    assert len(digests) == 6
     # every numerical failure in these groups comes back as a status
     assert raised == []

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -319,6 +320,29 @@ class TestArmijoBacktrack:
         p = make_singular_quadratic()
         with pytest.raises(ValueError):
             armijo_backtrack(p, np.ones(2), np.zeros(2), 1e-4, 0.5, 10, np.sqrt(2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        p = make_singular_quadratic()
+        with pytest.raises(ValueError, match="^direction must be finite and nonzero$"):
+            armijo_backtrack(
+                p, np.ones(2), np.array([1.0, bad]), 1e-4, 0.5, 10, np.sqrt(2.0)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_first_trial_point_is_x_plus_direction_bitwise(self, data):
+        n = data.draw(st.integers(1, 20))
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        x = data.draw(arrays(np.float64, n, elements=entries))
+        d = data.draw(arrays(np.float64, n, elements=entries).filter(np.count_nonzero))
+        p = NonlinearProblem("identity", n, lambda v: v, lambda v: np.eye(n), x)
+        with np.errstate(over="ignore"):
+            _, _, xt, _ = armijo_backtrack(p, x, d, 1e-4, 0.5, 1, 1.0)
+            assert xt.tobytes() == (x + 1.0 * d).tobytes()
 
     def test_scalar_quadratic_full_step(self):
         p = NonlinearProblem(
@@ -691,6 +715,48 @@ class TestSolve:
         # f(x0), then one accepted trial per step; no loop top re-evaluates it
         assert len(calls) == 1 + report.iterations
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(method="newton"),
+            SolverConfig(method="na", m=1),
+            SolverConfig(method="na", m=2),
+            SolverConfig(method="gna"),
+            SolverConfig(method="agna"),
+        ],
+        ids=["newton", "na1", "na2", "gna", "agna"],
+    )
+    def test_linesearch_skips_a_step_lost_to_rounding(self, cfg):
+        # the step -1e-3 is below half an ulp of 1e20, so x + w == x: the
+        # direction is zero, no search runs, and the solve stalls
+        p = NonlinearProblem(
+            "flat", 1, lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
+            np.array([1e20]),
+        )
+        cfg = dataclasses.replace(cfg, linesearch=ArmijoConfig(), max_iter=5)
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "max_iter"
+        assert report.iterations == 5
+        assert all(rec.ls_t is None and rec.ls_ok for rec in report.records)
+        assert report.x_final.tolist() == [1e20]
+
+    @pytest.mark.parametrize("method", ["newton", "agna"])
+    def test_each_linesearch_tests_its_direction_once(self, method, monkeypatch):
+        tested = []
+        all_finite = solver_mod._all_finite
+
+        def counted(v):
+            tested.append(v)
+            return all_finite(v)
+
+        monkeypatch.setattr(solver_mod, "_all_finite", counted)
+        p = make_chandrasekhar(1.0, 20)
+        cfg = SolverConfig(method=method, linesearch=ArmijoConfig())
+        report = solve(p, p.default_start, cfg)
+        assert report.status == "converged"
+        # each iterate once at the loop top, each search direction once
+        assert len(tested) == 2 * report.iterations + 1
+
     def test_weighted_norm_hook(self):
         # the norm |v|_W = |L^T v| with W = L L^T = diag(4, 1) is the
         # Euclidean norm in y = L^T x: g(y) = L^T f(L^-T y), J_g = L^T J L^-T
@@ -778,6 +844,57 @@ def test_norm_helper_equals_numpy_norm_bitwise(v):
         got = solver_mod._norm(v)
     assert type(got) is float
     assert np.float64(got).tobytes() == ref.tobytes()
+
+
+def _numpy_gamma_1(w_next, d, scale):
+    """``anderson_gamma_1`` in NumPy products, the formula it reproduces."""
+    dd = float(d @ d)
+    if math.sqrt(dd) <= np.finfo(float).eps * scale:
+        return 0.0
+    return float((d @ w_next) / dd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gamma_1_equals_numpy_formula_bitwise(data):
+    n = data.draw(st.integers(1, 300))
+    # with tiny entries d . w_next underflows, to -0.0 when it is negative
+    entries = data.draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-160, 1e-160)
+    ]))
+    steps = arrays(np.float64, n, elements=entries)
+    w_next, w_prev = data.draw(steps), data.draw(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = w_next - w_prev
+        scale = solver_mod._norm(w_next) + solver_mod._norm(w_prev)
+        ref = _numpy_gamma_1(w_next, d, scale)
+        got = anderson_gamma_1(w_next, d, scale)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matvec_helper_equals_numpy_matmul_bitwise(data):
+    long, short = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 4))
+    # with tiny entries the products underflow, to -0.0 when they are negative
+    entries = data.draw(
+        st.sampled_from([st.floats(-1e100, 1e100), st.floats(-1e-170, 1e-170)])
+    )
+    layout = data.draw(st.sampled_from(["C", "transposed", "one row"]))
+    if layout == "C":
+        # n-by-m_k difference matrices, as na_m_update and step_gains pass
+        M = data.draw(arrays(np.float64, (long, short), elements=entries))
+    elif layout == "transposed":
+        # Q[:, :rank].T of a Fortran-ordered Q, as least_squares passes
+        Q = data.draw(arrays(np.float64, (long, short + 1), elements=entries))
+        M = np.asfortranarray(Q)[:, :short].T
+    else:
+        M = data.draw(arrays(np.float64, (1, long), elements=entries))
+    v = data.draw(arrays(np.float64, M.shape[1], elements=entries))
+    got = solver_mod._matvec(M, v)
+    assert got.dtype == np.float64 and got.shape == (M.shape[0],)
+    assert got.tobytes() == (M @ v).tobytes()
 
 
 class TestNewtonReduction:
