@@ -60,9 +60,8 @@ class ConvergenceReport:
     @property
     def r_history(self):
         """Adaptive safeguard parameter r per safeguarded iteration."""
-        return np.array(
-            [rec.r_used for rec in self.records if rec.r_used is not None]
-        )
+        r = [rec.decision.r_used for rec in self.records if rec.decision is not None]
+        return np.array(r)
 
     @property
     def q_term(self):
@@ -142,11 +141,11 @@ def step_gains(report):
     mixing coefficient gamma shrinks the Newton step w, ``theta_lambda`` the
     same ratio for the safeguarded lambda * gamma; both are None without a
     gamma.  At depth 1 (a float gamma) F is w - w_prev and lambda is
-    ``decision.lambda_value``.  At depth m (a vector of length m_k) F holds
-    the differences of the m_k+1 newest steps, newest first, theta_lambda =
-    theta, and theta is 0 for a zero step.  The float arithmetic is that of
-    the step loop, so the values are those the step's own norms give to the
-    bit; a zero divisor gives inf or NaN, not an error.
+    ``decision.lambda_value``, 1 without a decision.  At depth m (a vector
+    of length m_k) F holds the differences of the m_k+1 newest steps, newest
+    first, theta_lambda = theta, and theta is 0 for a zero step.  The float
+    arithmetic is that of the step loop, so the values are those the step's
+    own norms give to the bit; a zero divisor gives inf or NaN, not an error.
     """
     records = report.records
     gains = []
@@ -167,7 +166,7 @@ def step_gains(report):
             elif gamma is not None:
                 d = w - prev.w
                 theta = _ratio(_norm(w - gamma * d), norm)
-                lam = rec.decision.lambda_value
+                lam = 1.0 if rec.decision is None else rec.decision.lambda_value
                 theta_lam = (
                     theta if lam == 1.0 else _ratio(_norm(w - (lam * gamma) * d), norm)
                 )
@@ -199,7 +198,7 @@ def quasi_restart_count(report, r_hat):
     while earlier dips below r_hat mark transient quasi-restarts.  Runs
     without safeguarded iterations count zero.
     """
-    r = [rec.r_used for rec in report.records if rec.r_used is not None]
+    r = report.r_history.tolist()
     if not r:
         return 0
     start = len(r) - 1

@@ -158,7 +158,8 @@ def history_rows(report):
     """Per-iteration rows matching CSV_COLUMNS.
 
     Floats are plain Python floats; missing and non-finite values are None.
-    eta, theta and theta_lambda come from ``step_gains``.
+    eta, theta and theta_lambda come from ``step_gains``.  The decision is
+    ``not_applied`` on a mixing step that no safeguard ran on.
     """
     rows = []
     qs = [None] + _step_orders([rec.step_norm for rec in report.records])
@@ -169,19 +170,26 @@ def history_rows(report):
             gamma = [_finite(g) for g in gamma]
         else:
             gamma = _finite(gamma)
+        d = rec.decision
+        if d is None:
+            lam = r_used = beta = None
+            # a mixing step that no safeguard ran on
+            case = None if rec.gamma is None else "not_applied"
+        else:
+            lam, r_used, beta, case = d.lambda_value, d.r_used, d.beta, d.case
         rows.append(
             {
                 "k": rec.k,
                 "residual_norm": _finite(rec.residual_norm),
                 "step_norm": _finite(rec.step_norm),
                 "gamma": gamma,
-                "lambda": _finite(rec.lam),
+                "lambda": _finite(lam),
                 "eta": _finite(eta),
-                "r_used": _finite(rec.r_used),
-                "beta": _finite(rec.beta),
+                "r_used": _finite(r_used),
+                "beta": _finite(beta),
                 "theta": _finite(theta),
                 "theta_lambda": _finite(theta_lam),
-                "decision": rec.decision.case if rec.decision is not None else None,
+                "decision": case,
                 "q": q,
             }
         )
@@ -404,23 +412,21 @@ def _parse_linesearch(text):
 def _configs_from_args(args):
     methods = args.method or [SolverConfig.method]
     linesearch = _parse_linesearch(args.linesearch)
-    configs = []
-    for method in methods:
-        configs.append(
-            SolverConfig(
-                method=method,
-                m=args.m if method == "na" else 1,
-                r=args.r,
-                r_hat=args.rhat,
-                activation=args.activation,
-                threshold=args.threshold,
-                switch_to_m1_at=args.switch_to_m1_at if method == "na" else None,
-                tol=args.tol,
-                max_iter=args.max_iter,
-                linesearch=linesearch,
-            )
+    return tuple(
+        SolverConfig(
+            method=method,
+            m=args.m if method == "na" else 1,
+            r=args.r,
+            r_hat=args.rhat,
+            activation=args.activation,
+            threshold=args.threshold,
+            switch_to_m1_at=args.switch_to_m1_at if method == "na" else None,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            linesearch=linesearch,
         )
-    return tuple(configs)
+        for method in methods
+    )
 
 
 def _parse_sweep(text):

@@ -145,13 +145,13 @@ def _dot(a, b):
 def _matvec(M, v):
     """``M @ v`` on SciPy's BLAS for a C-contiguous 2-D float ``M`` (or the
     transpose of a Fortran-contiguous one), summed as NumPy's matmul sums it:
-    one row as a dot product, one column in its own loop without BLAS (0.0 +
-    M[i, 0] * v[0]), any other shape as ``dgemv_t`` over the rows."""
+    one row as a dot product, any other shape but one column as ``dgemv_t``
+    over the rows.  One column is left to NumPy, which runs no BLAS there."""
     rows, cols = M.shape
     if rows == 1:
         return np.array([_dot(M[0], v)])
     if cols == 1:
-        return M[:, 0] * v[0] + 0.0
+        return M @ v
     # trans=1 after the defaults of beta, y, offx, incx, offy and incy:
     # f2py parses positional arguments in half the time of the keyword
     return blas.dgemv(1.0, M.T, v, 0.0, None, 0, 1, 0, 1, 1)

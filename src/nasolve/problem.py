@@ -134,6 +134,14 @@ def make_singular_quadratic():
     )
 
 
+def _grid_size(n):
+    """``n`` as an int, ValueError unless integral; ``int`` parses a string."""
+    size = int(n)
+    if size != n and not isinstance(n, str):
+        raise ValueError(f"grid size must be an integer, got {n!r}")
+    return size
+
+
 def make_chandrasekhar(c, n):
     """Discretized Chandrasekhar H-equation with scattering parameter c.
 
@@ -145,7 +153,7 @@ def make_chandrasekhar(c, n):
     Default initial iterate: the all-ones vector.
     """
     c = float(c)
-    n = int(n)
+    n = _grid_size(n)
     if not 0.0 < c <= 1.0:
         raise ValueError(f"c must lie in (0, 1], got {c}")
     if n < 2:
@@ -196,7 +204,7 @@ def make_bratu_1d(lam, n):
     vector.
     """
     lam = float(lam)
-    n = int(n)
+    n = _grid_size(n)
     if n < 3:
         raise ValueError(f"need at least 3 interior points, got {n}")
     if not 0.0 <= lam < np.inf:

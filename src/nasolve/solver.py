@@ -24,6 +24,7 @@ multiple solves over shared (immutable) problems may run concurrently.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceReport
 from .linalg import (
+    _EPS,
     NonFiniteInput,
     SingularMatrix,
     _all_finite,
@@ -59,10 +61,14 @@ __all__ = [
     "solve",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
 METHODS = ("newton", "na", "gna", "agna")
 ACTIVATIONS = ("always", "asymptotic")
+
+
+def _check_count(name, value):
+    """ValueError unless ``value`` is an integer (NumPy's too) of at least 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,7 @@ class ArmijoConfig:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
+        _check_count("max_backtracks", self.max_backtracks)
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.m < 1:
-            raise ValueError("depth m must be a positive integer")
+        _check_count("depth m", self.m)
         if self.method in ("gna", "agna") and self.m != 1:
             raise ValueError("safeguarding is only defined for depth m = 1")
         if not 0.0 < self.r < 1.0:
@@ -131,23 +135,21 @@ class SolverConfig:
                 raise ValueError("switch_to_m1_at must be positive")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter)
         if not self.divergence_cap > 0.0:
             raise ValueError("divergence_cap must be positive")
 
 
 class SafeguardDecision(NamedTuple):
-    """Which safeguard case fired and the resulting scaling lambda.
+    """Which safeguard case fired, its scaling lambda and gate beta = r_used * eta.
 
-    Cases: ``not_applied`` (no safeguard evaluated this step),
-    ``gamma_zero_or_ge_one`` (lambda = 0, pure Newton step),
+    Cases: ``gamma_zero_or_ge_one`` (lambda = 0, pure Newton step),
     ``ratio_exceeded`` (lambda scaled so |lambda*gamma| hits the gate), and
     ``pass_through`` (lambda = 1, full Anderson step).
 
     An immutable named tuple: fields are read by name, assigning one raises
     ``AttributeError``, and an instance holds no ``__dict__``.
-    ``gamma_safeguard`` builds every applied decision.
+    ``gamma_safeguard`` builds every decision.
     """
 
     case: str
@@ -157,14 +159,11 @@ class SafeguardDecision(NamedTuple):
     beta: float | None = None
 
 
-_NOT_APPLIED = SafeguardDecision(case="not_applied", lambda_value=1.0)
-
-
 class IterationRecord(NamedTuple):
     """One step of a solve: the iterate x_k, the Newton step w_{k+1}, and
     the mixing coefficient and safeguard decision when the method produced
-    them (None otherwise, e.g. on pure Newton steps).  The step ratio eta
-    and the optimization gains theta and theta_lambda follow from the
+    them (None otherwise; without a decision lambda is 1).  The step ratio
+    eta and the optimization gains theta and theta_lambda follow from the
     records; ``diagnostics.step_gains`` derives them.
 
     An immutable named tuple: fields are read by name, assigning one raises
@@ -180,25 +179,6 @@ class IterationRecord(NamedTuple):
     decision: SafeguardDecision | None = None
     ls_t: float | None = None
     ls_ok: bool = True
-
-    def _applied(self, name):
-        d = self.decision
-        return None if d is None or d.case == "not_applied" else getattr(d, name)
-
-    @property
-    def lam(self):
-        """``decision.lambda_value``; None unless a safeguard was applied."""
-        return self._applied("lambda_value")
-
-    @property
-    def r_used(self):
-        """``decision.r_used``; None unless a safeguard was applied."""
-        return self._applied("r_used")
-
-    @property
-    def beta(self):
-        """``decision.beta``; None unless a safeguard was applied."""
-        return self._applied("beta")
 
 
 def anderson_gamma_1(w_next, d, scale):
@@ -240,8 +220,7 @@ def na_m_update(iterates, steps, m):
     problem min |w_{k+1} - F gamma|, and the update is
     x_k + w_{k+1} - (E + F) gamma.  Returns ``(next iterate, gamma vector)``.
     """
-    if m < 1:
-        raise ValueError("depth m must be a positive integer")
+    _check_count("depth m", m)
     if len(steps) < 2 or len(iterates) < 2:
         raise ValueError("need at least one prior iterate and step")
     w_next = steps[-1]
@@ -429,8 +408,6 @@ def solve(p, x0, cfg):
                         x_next, gamma = na_m_update(iterates, steps, cfg.m)
                     except NonFiniteInput:
                         pass  # two earlier steps' difference overflows
-                    else:
-                        decision = _NOT_APPLIED
                 if x_next is None:
                     # a step whose norm overflows, or a window whose
                     # differences overflow, is not mixed; when the step is
@@ -439,15 +416,15 @@ def solve(p, x0, cfg):
             else:
                 prev = records[-1]
                 gamma = anderson_gamma_1(w, w - prev.w, step_norm + prev.step_norm)
-                if not latched:
-                    decision = _NOT_APPLIED
-                else:
+                lam = 1.0
+                if latched:
                     eta = step_norm / prev.step_norm
                     if cfg.method == "gna":
                         decision = gamma_safeguard(gamma, eta, cfg.r)
                     else:  # agna, or na after the switch
                         decision = adaptive_gamma_safeguard(gamma, eta, cfg.r_hat)
-                x_next = na_update(x, prev.x, w, prev.w, gamma, decision.lambda_value)
+                    lam = decision.lambda_value
+                x_next = na_update(x, prev.x, w, prev.w, gamma, lam)
 
             ls_t = f_next = None
             ls_ok = True

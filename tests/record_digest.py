@@ -7,6 +7,10 @@ type and message of the exception it raised.  Where a record does not store
 ``eta``, ``theta`` and ``theta_lambda``, the values that
 ``nasolve.diagnostics.step_gains`` derives take their place, in the same
 order; on a checkout whose records still hold them, the attributes are read.
+Likewise ``lam``, ``r_used`` and ``beta`` are read from the decision (None
+without one) where the record type lacks them, and a mixing step that holds
+no decision enters as ``SafeguardDecision("not_applied", 1.0)``, the
+decision such steps held on checkouts that still had those properties.
 Floats and arrays enter as their bytes and type names, so two checkouts
 print the same digests exactly when their solves agree bit for bit.  Use it to show that a refactor leaves
 every number unchanged:
@@ -42,6 +46,7 @@ from nasolve import (  # noqa: E402
     ArmijoConfig,
     IterationRecord,
     NonlinearProblem,
+    SafeguardDecision,
     SolverConfig,
     make_bratu_1d,
     make_chandrasekhar,
@@ -58,6 +63,8 @@ RECORD_ATTRS = (
 )
 DECISION_ATTRS = ("case", "lambda_value", "eta", "r_used", "beta")
 DERIVED_ATTRS = ("eta", "theta", "theta_lambda")
+# record attribute -> the decision field it is read from
+SAFEGUARD_ATTRS = {"lam": "lambda_value", "r_used": "r_used", "beta": "beta"}
 
 
 def _feed(h, value):
@@ -92,12 +99,21 @@ def _feed_solve(h, p, x0, cfg):
 
 
 def _derived(report):
-    """Per record, the DERIVED_ATTRS values the record does not store."""
-    if DERIVED_ATTRS[0] in IterationRecord._fields:
-        return [{}] * len(report.records)
-    from nasolve.diagnostics import step_gains
+    """Per record, the RECORD_ATTRS values the record type does not hold."""
+    rows = [{} for _ in report.records]
+    if DERIVED_ATTRS[0] not in IterationRecord._fields:
+        from nasolve.diagnostics import step_gains
 
-    return [dict(zip(DERIVED_ATTRS, gains)) for gains in step_gains(report)]
+        for row, gains in zip(rows, step_gains(report)):
+            row.update(zip(DERIVED_ATTRS, gains))
+    if not hasattr(IterationRecord, "lam"):
+        for row, rec in zip(rows, report.records):
+            d = rec.decision
+            for name, field in SAFEGUARD_ATTRS.items():
+                row[name] = None if d is None else getattr(d, field)
+            if d is None and rec.gamma is not None:
+                row["decision"] = SafeguardDecision("not_applied", 1.0)
+    return rows
 
 
 MATRIX_CONFIGS = (

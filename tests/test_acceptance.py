@@ -86,16 +86,17 @@ def test_criterion_1_safeguard_bounds(matrix_reports):
                 continue
             converged += 1
             for rec, (eta, _, _) in zip(report.records, step_gains(report)):
-                if rec.lam is None or eta is None or eta >= 1.0:
+                d = rec.decision
+                if d is None or eta is None or eta >= 1.0:
                     continue
-                lg = abs(rec.lam * rec.gamma)
-                case = rec.decision.case
+                lg = abs(d.lambda_value * rec.gamma)
+                case = d.case
                 if case == "pass_through":
-                    assert lg <= rec.beta / (1.0 - rec.beta) + 1e-12
+                    assert lg <= d.beta / (1.0 - d.beta) + 1e-12
                     checked += 1
                 elif case == "ratio_exceeded":
                     sign = 1.0 if rec.gamma > 0 else -1.0
-                    bound = rec.beta / (1.0 + sign * rec.beta)
+                    bound = d.beta / (1.0 + sign * d.beta)
                     assert abs(lg - bound) <= 1e-12
                     checked += 1
         assert converged >= 30
@@ -304,13 +305,17 @@ def test_criterion_10_determinism_and_io(tmp_path):
         assert len(csv_rows) == len(json_rows) == report.iterations
         rows = zip(csv_rows, json_rows, report.records, step_gains(report))
         for csv_row, json_row, rec, (eta, theta, theta_lam) in rows:
+            d = rec.decision
+            lam, r_used, beta = (
+                (None,) * 3 if d is None else (d.lambda_value, d.r_used, d.beta)
+            )
             for key, value in (
                 ("residual_norm", rec.residual_norm),
                 ("step_norm", rec.step_norm),
-                ("lambda", rec.lam),
+                ("lambda", lam),
                 ("eta", eta),
-                ("r_used", rec.r_used),
-                ("beta", rec.beta),
+                ("r_used", r_used),
+                ("beta", beta),
                 ("theta", theta),
                 ("theta_lambda", theta_lam),
             ):

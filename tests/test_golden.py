@@ -115,9 +115,8 @@ def test_cli_reproduces_golden(name, tmp_path, capsys):
     _assert_matches_golden(name, list(tmp_path.iterdir()))
 
 
-RECORD_FLOATS = (
-    "residual_norm", "step_norm", "gamma", "lam", "r_used", "beta", "ls_t",
-)
+RECORD_FLOATS = ("residual_norm", "step_norm", "gamma", "ls_t")
+# lambda, r_used and beta are read from the decision
 DECISION_FLOATS = ("lambda_value", "eta", "r_used", "beta")
 
 

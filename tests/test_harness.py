@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -69,6 +71,39 @@ class TestEmitHistory:
             assert row["r_used"] is not None
             assert row["beta"] is not None
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(method="na", m=1),
+            SolverConfig(method="na", m=3),
+            SolverConfig(method="agna", activation="asymptotic", threshold=1e-2),
+        ],
+        ids=["na1", "na3", "agna-asymptotic"],
+    )
+    def test_unsafeguarded_mixing_steps_hold_no_decision(self, cfg):
+        p = make_chandrasekhar(1.0, 50)
+        report = solve(p, p.default_start, cfg)
+        end = report.iterations
+        if cfg.method == "agna":
+            # safeguarding starts at the first step norm below the threshold
+            end = next(
+                rec.k for rec in report.records if rec.step_norm < cfg.threshold
+            )
+        unsafeguarded = report.records[1:end]
+        assert unsafeguarded
+        csv_rows = list(csv.DictReader(io.StringIO(emit_history(report).decode())))
+        rows = history_rows(report)
+        for rec in unsafeguarded:
+            assert rec.gamma is not None and rec.decision is None
+            row = rows[rec.k]
+            assert (row["decision"], row["lambda"], row["r_used"], row["beta"]) == (
+                "not_applied", None, None, None
+            )
+            text = csv_rows[rec.k]
+            assert (text["decision"], text["lambda"], text["r_used"], text["beta"]) == (
+                "not_applied", "", "", ""
+            )
+
     def test_json_round_trip_exact(self, agna_report):
         data = json.loads(emit_history(agna_report, "json").decode())
         assert len(data) == agna_report.iterations
@@ -77,10 +112,11 @@ class TestEmitHistory:
             assert row["k"] == rec.k
             assert row["residual_norm"] == rec.residual_norm
             assert row["step_norm"] == rec.step_norm
-            if rec.lam is not None:
-                assert row["lambda"] == rec.lam
+            d = rec.decision
+            if d is not None:
+                assert row["lambda"] == d.lambda_value
                 assert row["eta"] == eta
-                assert row["beta"] == rec.beta
+                assert row["beta"] == d.beta
 
     def test_json_mirrors_csv_fields(self, agna_report):
         data = json.loads(emit_history(agna_report, "json").decode())

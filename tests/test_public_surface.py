@@ -32,6 +32,11 @@ def test_removed_names_are_gone():
     assert not hasattr(nasolve.ConvergenceReport, "step_norms")
     fields = [f.name for f in dataclasses.fields(nasolve.GroundTruth)]
     assert fields == ["root", "null_vector"]
+    # safeguard facts are read from rec.decision, which is None unless a
+    # safeguard ran
+    for name in ("lam", "r_used", "beta"):
+        assert not hasattr(nasolve.IterationRecord, name)
+    assert not hasattr(solver, "_NOT_APPLIED")
 
 
 def test_jacobian_is_required():

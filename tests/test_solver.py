@@ -33,6 +33,7 @@ from nasolve import (
     solve_linear,
     step_gains,
 )
+from nasolve.harness import history_rows
 from oracle import gamma_grid_oracle
 
 
@@ -457,13 +458,16 @@ class TestSolve:
                            threshold=1e-2)
         report = solve(p, np.ones(50), cfg)
         assert report.status == "converged"
-        cases = [rec.decision.case for rec in report.records[1:]]
-        applied = [c != "not_applied" for c in cases]
+        applied = [rec.decision is not None for rec in report.records[1:]]
         assert any(applied)
         first = applied.index(True)
         # all mixing steps before activation are plain NA, all after safeguarded
         assert all(not a for a in applied[:first])
         assert all(applied[first:])
+        # the history names the plain NA steps not_applied
+        cases = [row["decision"] for row in history_rows(report)[1:]]
+        assert cases[:first] == ["not_applied"] * first
+        assert "not_applied" not in cases[first:]
         # activation fires exactly when the step norm drops below the threshold
         norms = [rec.step_norm for rec in report.records[1:]]
         assert norms[first] < 1e-2
@@ -474,9 +478,7 @@ class TestSolve:
         cfg = SolverConfig(method="na", m=3, switch_to_m1_at=1e-1, r_hat=0.9)
         report = solve(p, np.ones(50), cfg)
         assert report.status == "converged"
-        switched = [
-            rec for rec in report.records[1:] if rec.decision.case != "not_applied"
-        ]
+        switched = [rec for rec in report.records[1:] if rec.decision is not None]
         assert switched
         for rec in switched:
             assert np.isscalar(rec.gamma)
@@ -484,12 +486,16 @@ class TestSolve:
         for rec in report.records[1:]:
             if rec.k < k_switch:
                 assert len(np.atleast_1d(rec.gamma)) == min(rec.k, 3)
+        cases = [row["decision"] for row in history_rows(report)[1:]]
+        assert cases[: k_switch - 1] == ["not_applied"] * (k_switch - 1)
 
     def test_newton_columns_empty(self):
         p = make_singular_quadratic()
         report = solve(p, [1.0, 1.0], SolverConfig(method="newton"))
         for rec in report.records:
-            assert rec.gamma is None and rec.lam is None and rec.r_used is None
+            assert rec.gamma is None and rec.decision is None
+        for row in history_rows(report):
+            assert row["lambda"] is None and row["r_used"] is None
 
     def test_singular_jacobian_status(self):
         p = make_singular_quadratic()
@@ -600,10 +606,10 @@ class TestSolve:
         assert report.status == "max_iter"
         assert report.records[0].step_norm == np.inf
         first = report.records[1]
-        assert (step_gains(report)[1][0], first.lam) == (0.0, 0.0)
+        assert (step_gains(report)[1][0], first.decision.lambda_value) == (0.0, 0.0)
         np.testing.assert_array_equal(report.records[2].x, first.x + first.w)
         if cfg.method != "gna":
-            assert first.r_used == 0.0
+            assert first.decision.r_used == 0.0
 
     def test_error_state_restored_after_nested_solves(self):
         # a residual that runs an inner solve, on an outer solve that diverges
@@ -799,16 +805,17 @@ class TestSafeguardInvariants:
         for report in safeguarded_reports:
             assert report.status == "converged"
             for rec, (eta, _, _) in zip(report.records, step_gains(report)):
-                if rec.lam is None or eta is None or eta >= 1.0:
+                d = rec.decision
+                if d is None or eta is None or eta >= 1.0:
                     continue
-                lg = abs(rec.lam * rec.gamma)
-                if rec.decision.case == "pass_through":
-                    assert lg <= rec.beta / (1.0 - rec.beta) + 1e-12
+                lg = abs(d.lambda_value * rec.gamma)
+                if d.case == "pass_through":
+                    assert lg <= d.beta / (1.0 - d.beta) + 1e-12
                     checked += 1
-                elif rec.decision.case == "ratio_exceeded":
+                elif d.case == "ratio_exceeded":
                     sign = 1.0 if rec.gamma > 0 else -1.0
                     assert lg == pytest.approx(
-                        rec.beta / (1.0 + sign * rec.beta), abs=1e-12
+                        d.beta / (1.0 + sign * d.beta), abs=1e-12
                     )
                     checked += 1
         assert checked > 0
@@ -816,11 +823,12 @@ class TestSafeguardInvariants:
     def test_lambda_in_unit_interval_and_sign(self, safeguarded_reports):
         for report in safeguarded_reports:
             for rec in report.records:
-                if rec.lam is None:
+                if rec.decision is None:
                     continue
-                assert 0.0 <= rec.lam <= 1.0
-                if rec.lam > 0.0 and rec.gamma != 0.0:
-                    assert np.sign(rec.lam * rec.gamma) == np.sign(rec.gamma)
+                lam = rec.decision.lambda_value
+                assert 0.0 <= lam <= 1.0
+                if lam > 0.0 and rec.gamma != 0.0:
+                    assert np.sign(lam * rec.gamma) == np.sign(rec.gamma)
 
     def test_gain_bounded_by_one(self, safeguarded_reports):
         for report in safeguarded_reports:
@@ -958,24 +966,31 @@ class TestRecordTypes:
     def test_keyword_construction_with_defaults(self):
         rec = bare_record()
         assert (rec.k, rec.residual_norm, rec.step_norm) == (0, 1.0, 2.0)
-        optional = ("gamma", "lam", "r_used", "beta", "decision", "ls_t")
+        optional = ("gamma", "decision", "ls_t")
         assert all(getattr(rec, name) is None for name in optional)
         # the step ratio and the gains are derived, not stored
         assert len(rec._fields) == 9
         assert not {"eta", "theta", "theta_lambda"} & set(rec._fields)
         assert rec.ls_ok is True
-        d = SafeguardDecision(case="not_applied", lambda_value=1.0)
+        d = SafeguardDecision(case="pass_through", lambda_value=1.0)
         assert (d.case, d.lambda_value, d.eta, d.r_used, d.beta) == (
-            "not_applied", 1.0, None, None, None
+            "pass_through", 1.0, None, None, None
         )
-        rec = bare_record(decision=d)
-        assert rec.decision is d
-        assert (rec.lam, rec.r_used, rec.beta) == (None, None, None)
+        assert bare_record(decision=d).decision is d
+        # a mixing step that no safeguard ran on holds no decision; its
+        # history row reads not_applied, with lambda, r_used and beta empty
+        mixed = IterationRecord(1, np.ones(2), np.ones(2), 1.0, 2.0, gamma=0.5)
+        assert mixed.decision is None
+        row = history_rows(ConvergenceReport((rec, mixed), "max_iter"))[1]
+        assert (row["decision"], row["lambda"], row["r_used"], row["beta"]) == (
+            "not_applied", None, None, None
+        )
 
     def test_safeguard_fields_read_from_decision(self):
         d = SafeguardDecision("ratio_exceeded", 0.25, eta=0.5, r_used=0.4, beta=0.2)
         rec = bare_record(decision=d)
-        assert (rec.lam, rec.r_used, rec.beta) == (0.25, 0.4, 0.2)
+        assert (d.lambda_value, d.r_used, d.beta) == (0.25, 0.4, 0.2)
+        assert rec.decision is d
         assert "lam" not in rec._fields
         with pytest.raises(TypeError):
             bare_record(lam=0.25)
@@ -984,7 +999,7 @@ class TestRecordTypes:
         with pytest.raises(TypeError):
             IterationRecord(k=0, x=np.zeros(2))
         with pytest.raises(TypeError):
-            SafeguardDecision(case="not_applied")
+            SafeguardDecision(case="pass_through")
 
     def test_attributes_cannot_be_set(self):
         rec = bare_record()
@@ -993,7 +1008,7 @@ class TestRecordTypes:
             for name in (*obj._fields, "extra"):
                 with pytest.raises(AttributeError):
                     setattr(obj, name, 0.5)
-        assert rec.lam is None and d.lambda_value == 1.0
+        assert rec.decision is None and d.lambda_value == 1.0
 
     def test_records_of_a_solve_hold_no_instance_dict(self):
         p = make_singular_quadratic()
@@ -1021,8 +1036,8 @@ class TestRecordTypes:
             assert all(a is b for a, b in zip(again, rec))
             if rec.decision is not None:
                 check_decision(rec.decision)
-                if rec.decision.case != "not_applied":
-                    assert rec.lam == rec.decision.lambda_value
+                # only a depth-1 mixing step is safeguarded
+                assert np.isscalar(rec.gamma)
 
 
 MALFORMED_RESIDUALS = {
@@ -1169,8 +1184,8 @@ def test_solve_reports_a_status_and_consistent_records(case, check_decision):
     assert report.iterations == len(report.records) <= cfg.max_iter
     assert [rec.k for rec in report.records] == list(range(report.iterations))
     for rec in report.records:
-        assert rec.lam is None or 0.0 <= rec.lam <= 1.0
         if rec.decision is not None:
+            assert 0.0 <= rec.decision.lambda_value <= 1.0
             check_decision(rec.decision)
 
 
