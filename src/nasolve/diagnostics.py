@@ -21,7 +21,6 @@ __all__ = [
     "estimate_order",
     "decompose_errors",
     "step_gains",
-    "gain_history",
     "quasi_restart_count",
     "null_space_gamma",
 ]
@@ -173,21 +172,6 @@ def step_gains(report):
             gains.append((eta, theta, theta_lam))
             prev = rec
     return gains
-
-
-def gain_history(report):
-    """Optimization gains per mixing step: (theta, theta_lambda).
-
-    ``theta`` measures how much the unconstrained mixing coefficient shrinks
-    the Newton step; ``theta_lambda`` is the same ratio for the safeguarded
-    (lambda-scaled) coefficient, and equals ``theta`` on unsafeguarded steps.
-    Both are derived by ``step_gains``.
-    """
-    pairs = [(t, tl) for _, t, tl in step_gains(report) if t is not None]
-    if not pairs:
-        raise ValueError("the run contains no Anderson-mixing steps")
-    theta, theta_lambda = map(np.array, zip(*pairs))
-    return theta, theta_lambda
 
 
 def quasi_restart_count(report, r_hat):

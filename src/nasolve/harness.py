@@ -1,8 +1,8 @@
 """CLI front end and machine-readable convergence-history output.
 
-Subcommands: ``solve`` (one problem, one configuration), ``sweep`` (vary a
-problem parameter over a grid), ``compare`` (several configurations on one
-problem), and ``verify fold`` (locate the Bratu fold by continuation).
+Subcommands: ``solve`` (one or more configurations on one problem, with
+``compare`` as its alias), ``sweep`` (vary a problem parameter over a grid),
+and ``verify fold`` (locate the Bratu fold by continuation).
 Histories and summaries are emitted as plot-ready CSV or JSON with floats
 printed as their shortest exact repr, so identical experiment specs produce
 byte-identical output.
@@ -62,6 +62,7 @@ SUMMARY_COLUMNS = ("param", "config", "status", "iterations", "q_term")
 FORMATS = ("csv", "json")
 X0_CHOICES = ("zero", "ones", "default")
 X0_USAGE = " | ".join(X0_CHOICES + ("perturbed:IDX:VAL",))
+LINESEARCH_USAGE = "none|armijo[:C1:SHRINK:MAXBT]"
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ class ExperimentSpec:
                 raise ValueError("sweep step must be positive")
             if not start <= end:
                 raise ValueError("sweep start must not exceed end")
+            if not math.isfinite((end - start) / step):
+                raise ValueError(f"sweep {name!r} has a non-finite point count")
         _parse_x0_selector(self.x0)
 
 
@@ -106,10 +109,12 @@ def _parse_x0_selector(selector):
     if selector in X0_CHOICES:
         return selector, None, None
     if selector.startswith("perturbed:"):
-        parts = selector.split(":")
-        if len(parts) == 3:
-            return "perturbed", int(parts[1]), float(parts[2])
-    raise ValueError(f"bad initial-iterate selector {selector!r}; use {X0_USAGE}")
+        try:
+            _, idx, val = selector.split(":")
+            return "perturbed", int(idx), float(val)
+        except ValueError:
+            pass
+    raise ValueError(f"bad x0 selector {selector!r}; use {X0_USAGE}")
 
 
 def initial_iterate(problem, selector):
@@ -290,14 +295,14 @@ def run_experiment(spec):
     written = []
     summary = []
     for i, value, j, cfg, report in _cell_reports(spec):
-        name = f"history_p{i:03d}_c{j}_{config_label(cfg)}.{ext}"
-        path = outdir / name
+        label = config_label(cfg)
+        path = outdir / f"history_p{i:03d}_c{j}_{label}.{ext}"
         path.write_bytes(emit_history(report, ext))
         written.append(path)
         summary.append(
             {
                 "param": value,
-                "config": config_label(cfg),
+                "config": label,
                 "status": report.status,
                 "iterations": report.iterations,
                 "q_term": _finite(report.q_term),
@@ -335,7 +340,7 @@ def fold_sweep(n, lam_start, lam_end, lam_step):
 
 
 def _add_solver_flags(sub):
-    """The solve/sweep/compare flags; their defaults are the library's."""
+    """The solve and sweep flags; their defaults are the library's."""
     # a dataclass keeps each field's default as a class attribute
     cfg, spec = SolverConfig, ExperimentSpec
     sub.add_argument("--problem", required=True, choices=PROBLEM_IDS)
@@ -351,7 +356,7 @@ def _add_solver_flags(sub):
         action="append",
         default=[],
         choices=METHODS,
-        help="solver method (repeatable for sweep/compare)",
+        help="solver method (repeatable)",
     )
     sub.add_argument("--m", type=int, default=cfg.m, help="Anderson depth (method na)")
     sub.add_argument("--r", type=float, default=cfg.r, help="fixed safeguard parameter (gna)")
@@ -376,7 +381,7 @@ def _add_solver_flags(sub):
     sub.add_argument(
         "--linesearch",
         default="none",
-        metavar="none|armijo[:C1:SHRINK:MAXBT]",
+        metavar=LINESEARCH_USAGE,
         help="optional Armijo backtracking on the composite step",
     )
     sub.add_argument("--x0", default=spec.x0, help=f"initial iterate: {X0_USAGE}")
@@ -397,16 +402,17 @@ def _parse_params(pairs):
 def _parse_linesearch(text):
     if text == "none":
         return None
-    parts = text.split(":")
-    if parts[0] != "armijo":
-        raise ValueError(f"bad --linesearch {text!r}")
-    if len(parts) == 1:
-        return ArmijoConfig()
-    if len(parts) == 4:
-        return ArmijoConfig(
-            c1=float(parts[1]), shrink=float(parts[2]), max_backtracks=int(parts[3])
-        )
-    raise ValueError(f"bad --linesearch {text!r}")
+    head, *parts = text.split(":")
+    values = None
+    if head == "armijo" and len(parts) in (0, 3):
+        try:
+            # C1, SHRINK and MAXBT; none keeps ArmijoConfig's defaults
+            values = [kind(v) for kind, v in zip((float, float, int), parts)]
+        except ValueError:
+            pass
+    if values is None:
+        raise ValueError(f"bad --linesearch {text!r}; expected {LINESEARCH_USAGE}")
+    return ArmijoConfig(*values)
 
 
 def _configs_from_args(args):
@@ -430,18 +436,16 @@ def _configs_from_args(args):
 
 
 def _parse_sweep(text):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"bad --sweep {text!r}; expected NAME:START:END:STEP")
-    return parts[0], float(parts[1]), float(parts[2]), float(parts[3])
+    name, *bounds = text.split(":")
+    try:
+        start, end, step = map(float, bounds)
+    except ValueError:
+        raise ValueError(f"bad --sweep {text!r}; expected NAME:START:END:STEP") from None
+    return name, start, end, step
 
 
 def _cmd_experiment(args):
-    """solve, sweep and compare: build the experiment, run it, print the summary."""
-    if args.command == "solve" and len(args.method) > 1:
-        raise ValueError("solve takes a single --method; use compare for several")
-    if args.command == "compare" and not args.method:
-        raise ValueError("compare needs at least one --method")
+    """solve (or compare) and sweep: build the experiment, run it, print the summary."""
     spec = ExperimentSpec(
         problem=args.problem,
         params=_parse_params(args.param),
@@ -474,7 +478,9 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = subs.add_parser("solve", help="run one configuration on one problem")
+    p_solve = subs.add_parser(
+        "solve", aliases=["compare"], help="run one or more methods on one problem"
+    )
     _add_solver_flags(p_solve)
 
     p_sweep = subs.add_parser("sweep", help="sweep a problem parameter over a grid")
@@ -487,9 +493,6 @@ def build_parser():
         action="store_true",
         help="warm-start each cell from the previous converged solution",
     )
-
-    p_cmp = subs.add_parser("compare", help="compare several methods on one problem")
-    _add_solver_flags(p_cmp)
 
     p_ver = subs.add_parser("verify", help="locate the Bratu fold by continuation")
     p_ver.add_argument("check", choices=("fold",))

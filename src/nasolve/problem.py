@@ -135,9 +135,9 @@ def make_singular_quadratic():
 
 
 def _grid_size(n):
-    """``n`` as an int, ValueError unless integral; ``int`` parses a string."""
+    """``n`` as an int, ValueError unless integral."""
     size = int(n)
-    if size != n and not isinstance(n, str):
+    if size != n:
         raise ValueError(f"grid size must be an integer, got {n!r}")
     return size
 
@@ -236,7 +236,7 @@ def make_bratu_1d(lam, n):
 
 
 # id -> (constructor, its parameters in call order with their defaults);
-# the constructor converts and checks each value
+# the constructor converts and checks each number
 _BUILT_INS = {
     "singular_quadratic": (make_singular_quadratic, {}),
     "chandrasekhar": (make_chandrasekhar, {"c": 0.5, "n": 100}),
@@ -250,7 +250,8 @@ def problem_from_id(problem_id, params=None):
 
     Recognized ids: ``singular_quadratic`` (no parameters),
     ``chandrasekhar`` (``c`` in (0, 1], grid size ``n``), and ``bratu1d``
-    (finite ``lambda`` >= 0, interior points ``n``).
+    (finite ``lambda`` >= 0, interior points ``n``).  A string value, as
+    the CLI passes it, is read as a float first.
     """
     if problem_id not in _BUILT_INS:
         raise ValueError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")
@@ -259,4 +260,13 @@ def problem_from_id(problem_id, params=None):
     unknown = params.keys() - defaults.keys()
     if unknown:
         raise ValueError(f"unknown parameters for {problem_id}: {sorted(unknown)}")
-    return make(*(params.get(name, value) for name, value in defaults.items()))
+    args = []
+    for name, default in defaults.items():
+        value = params.get(name, default)
+        try:
+            args.append(float(value) if isinstance(value, str) else value)
+        except ValueError:
+            raise ValueError(
+                f"{problem_id} parameter {name} must be a number, got {value!r}"
+            ) from None
+    return make(*args)

@@ -400,17 +400,35 @@ class TestCli:
         assert "agna_rhat0.5" in out
         assert (tmp_path / "cli" / "summary.json").exists()
 
-    def test_solve_rejects_multiple_methods(self, tmp_path):
+    def test_solve_runs_several_methods(self, tmp_path, capsys):
         rc = main([
             "solve", "--problem", "bratu1d", "--method", "newton",
-            "--method", "na", "--output", str(tmp_path / "x"),
+            "--method", "agna", "--output", str(tmp_path / "x"),
         ])
-        assert rc == 1
+        assert rc == 0
+        assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
+            "history_p000_c0_newton.csv",
+            "history_p000_c1_agna_rhat0.5.csv",
+            "summary.csv",
+        ]
+        assert capsys.readouterr().out.endswith("wrote 3 file(s) under "
+                                                f"{tmp_path / 'x'}\n")
 
-    def test_compare_needs_method(self, tmp_path):
-        rc = main(["compare", "--problem", "bratu1d",
-                   "--output", str(tmp_path / "x")])
-        assert rc == 1
+    @pytest.mark.parametrize("methods", [[], ["newton", "na", "agna"]],
+                             ids=["default", "three"])
+    def test_compare_is_solve(self, methods, tmp_path, capsys):
+        flags = ["--problem", "chandrasekhar", "--param", "c=1.0", "--param", "n=20",
+                 *(arg for method in methods for arg in ("--method", method))]
+        for command in ("solve", "compare"):
+            assert main([command, *flags, "--output", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().out.count("wrote ") == 2
+        solved = sorted((tmp_path / "solve").iterdir())
+        assert len(solved) == max(len(methods), 1) + 1
+        assert [p.name for p in solved] == sorted(
+            p.name for p in (tmp_path / "compare").iterdir()
+        )
+        for path in solved:
+            assert path.read_bytes() == (tmp_path / "compare" / path.name).read_bytes()
 
     def test_usage_error_exit_code(self):
         assert main(["solve", "--problem", "unknown"]) == 1

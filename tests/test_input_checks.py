@@ -1,0 +1,178 @@
+"""Malformed input is rejected where it is given, with a message naming it.
+
+One test per input check of the library and the CLI that the rest of the
+suite does not reach, plus the CLI's handling of values it cannot parse.
+Needs only pytest, so it also runs against the oldest supported NumPy and
+SciPy.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nasolve import (
+    ArmijoConfig,
+    ConvergenceReport,
+    GroundTruth,
+    IterationRecord,
+    NonlinearProblem,
+    SolverConfig,
+    estimate_order,
+    least_squares,
+    make_singular_quadratic,
+    problem_from_id,
+    solve,
+    step_gains,
+)
+from nasolve.harness import ExperimentSpec, fold_sweep, main
+
+
+def _quadratic(**fields):
+    """``singular_quadratic`` with some of its fields replaced, checked anew."""
+    return dataclasses.replace(make_singular_quadratic(), **fields)
+
+
+class TestNonlinearProblem:
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            _quadratic(dimension=0, default_start=np.zeros(0), metadata=None)
+
+    def test_default_start_of_wrong_length(self):
+        with pytest.raises(ValueError, match="default_start length"):
+            _quadratic(default_start=np.ones(3))
+
+    def test_null_vector_not_unit_length(self):
+        truth = GroundTruth(root=np.zeros(2), null_vector=np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match="not unit length"):
+            _quadratic(metadata=truth)
+
+    def test_null_vector_outside_the_kernel(self):
+        # J(0) = diag(0, 1) maps (0, 1) to itself
+        truth = GroundTruth(root=np.zeros(2), null_vector=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="not in the Jacobian kernel"):
+            _quadratic(metadata=truth)
+
+
+@pytest.mark.parametrize("name", ["c1", "shrink"])
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_armijo_fraction_outside_the_open_unit_interval(name, value):
+    with pytest.raises(ValueError, match=f"{name} must lie in \\(0, 1\\)"):
+        ArmijoConfig(**{name: value})
+
+
+def test_least_squares_needs_a_matrix():
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        least_squares(np.ones(3), np.ones(3))
+
+
+def test_estimate_order_needs_a_sequence():
+    with pytest.raises(ValueError, match="1-D sequence"):
+        estimate_order([[0.5, 0.25], [0.1, 0.01]])
+
+
+def test_step_gains_rejects_a_window_longer_than_the_history():
+    w = np.ones(2)
+    records = (
+        IterationRecord(0, np.zeros(2), w, 1.0, 1.0),
+        # a depth-2 gamma on the second record: only one step precedes it
+        IterationRecord(1, w, w, 1.0, 1.0, gamma=np.array([0.5, 0.5])),
+    )
+    with pytest.raises(ValueError, match="record 1 mixes 2 earlier steps"):
+        step_gains(ConvergenceReport(records, "max_iter"))
+
+
+def _scalar_problem(residual, jacobian):
+    return NonlinearProblem("scalar", 1, residual, jacobian, np.zeros(1))
+
+
+def test_solve_reraises_the_linear_solver_error_on_a_square_jacobian():
+    # the right shape, so the error is solve_linear's own
+    p = _scalar_problem(lambda x: x - 1.0, lambda x: np.array([["a"]]))
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        solve(p, np.zeros(1), SolverConfig())
+
+
+def test_step_that_underflows_to_zero_ends_the_solve():
+    # w = -1e-150 / 1e300 underflows to zero while |f| = 1e-150 > tol; the
+    # status is pinned as it is.  (With f = 1e-300, |f|^2 underflows and the
+    # residual test ends the solve first.)
+    p = _scalar_problem(
+        lambda x: np.array([1e-150]), lambda x: np.array([[1e300]], order="F")
+    )
+    report = solve(p, np.zeros(1), SolverConfig(tol=1e-200))
+    assert (report.status, report.iterations) == ("converged", 0)
+
+
+class TestSweepPointCount:
+    def test_spec_rejects_a_non_finite_count(self):
+        with pytest.raises(ValueError, match="sweep 'lambda' has a non-finite point count"):
+            ExperimentSpec(problem="bratu1d", sweep=("lambda", 3.0, 3.6, 1e-320))
+
+    def test_fold_sweep_rejects_a_non_finite_count(self):
+        with pytest.raises(ValueError, match="non-finite point count"):
+            fold_sweep(30, 3.0, 3.6, 1e-320)
+
+    def test_cli_sweep_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--problem", "bratu1d", "--param", "n=10",
+                   "--sweep", "lambda:3.0:3.6:1e-320", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sweep 'lambda' has a non-finite point count\n"
+        )
+        assert not out.exists()
+
+    def test_cli_verify_fold_exits_one(self, capsys):
+        assert main(["verify", "fold", "--n", "30", "--step", "1e-320"]) == 1
+        assert "non-finite point count" in capsys.readouterr().err
+
+
+def _cli_error(tmp_path, capsys, *argv):
+    """Run ``nasolve solve --problem bratu1d`` with ``argv`` added; expect
+    exit 1, no output directory, and return the error line."""
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", "bratu1d", *argv, "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--param", "n", "bad --param 'n'; expected K=V"),
+        ("--param", "lambda=abc", "bratu1d parameter lambda must be a number, got 'abc'"),
+        ("--linesearch", "wolfe", "bad --linesearch 'wolfe'"),
+        ("--linesearch", "armijo:0.1:0.5", "bad --linesearch 'armijo:0.1:0.5'"),
+        ("--linesearch", "armijo:0.1:0.5:2.5", "bad --linesearch 'armijo:0.1:0.5:2.5'"),
+        ("--linesearch", "armijo:abc:0.5:3", "bad --linesearch 'armijo:abc:0.5:3'"),
+        ("--x0", "perturbed:1:abc", "bad x0 selector 'perturbed:1:abc'"),
+        ("--x0", "perturbed:a:1", "bad x0 selector 'perturbed:a:1'"),
+    ],
+)
+def test_cli_value_errors_name_their_flag(flag, value, message, tmp_path, capsys):
+    assert _cli_error(tmp_path, capsys, flag, value).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("sweep", ["lambda:3.0:3.6", "lambda:3.0:3.6:abc"])
+def test_cli_sweep_errors_name_their_flag(sweep, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--problem", "bratu1d", "--sweep", sweep, "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: bad --sweep {sweep!r}")
+    assert not out.exists()
+
+
+def test_library_parameter_errors_name_the_parameter():
+    with pytest.raises(ValueError, match="chandrasekhar parameter c must be a number"):
+        problem_from_id("chandrasekhar", {"c": "abc"})
+
+
+def test_cli_accepts_an_integral_float_grid_size(tmp_path, capsys):
+    # make_bratu_1d(1.0, 50.0) accepts it, so --param n=50.0 does too
+    assert problem_from_id("bratu1d", {"n": "50.0"}).dimension == 50
+    rc = main(["solve", "--problem", "bratu1d", "--param", "n=50.0",
+               "--output", str(tmp_path / "out")])
+    assert rc == 0
+    assert ",newton,converged," in capsys.readouterr().out

@@ -28,6 +28,9 @@ def test_every_name_resolves_to_its_module_object():
 
 def test_removed_names_are_gone():
     assert not hasattr(nasolve, "finite_difference_jacobian")
+    # the gains are read from step_gains
+    assert not hasattr(nasolve, "gain_history")
+    assert not hasattr(diagnostics, "gain_history")
     assert not hasattr(problem, "finite_difference_jacobian")
     assert not hasattr(nasolve.ConvergenceReport, "step_norms")
     fields = [f.name for f in dataclasses.fields(nasolve.GroundTruth)]
