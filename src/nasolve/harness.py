@@ -1,8 +1,8 @@
 """CLI front end and machine-readable convergence-history output.
 
-Subcommands: ``solve`` (one or more configurations on one problem, with
-``compare`` as its alias), ``sweep`` (vary a problem parameter over a grid),
-and ``verify fold`` (locate the Bratu fold by continuation).
+Subcommands: ``solve`` (one or more configurations on one problem, optionally
+over a parameter grid; ``compare`` and ``sweep`` are other names for it) and
+``verify fold`` (locate the Bratu fold by continuation).
 Histories and summaries are emitted as plot-ready CSV or JSON with floats
 printed as their shortest exact repr, so identical experiment specs produce
 byte-identical output.
@@ -239,18 +239,16 @@ def emit_history(report, fmt="csv"):
     return _table(history_rows(report), CSV_COLUMNS, fmt)
 
 
-def _sweep_values(sweep):
-    name, start, end, step = sweep
-    npts = int(math.floor((end - start) / step + 1e-9)) + 1
-    return name, [start + i * step for i in range(npts)]
-
-
 def _cells(spec):
-    """``(sweep value, problem parameters)`` for each sweep cell, in order."""
+    """Yield ``(sweep value, problem parameters)`` for each sweep cell, in order."""
     if spec.sweep is None:
-        return [(None, dict(spec.params))]
-    sweep_name, values = _sweep_values(spec.sweep)
-    return [(v, {**spec.params, sweep_name: v}) for v in values]
+        yield None, dict(spec.params)
+        return
+    name, start, end, step = spec.sweep
+    npts = int(math.floor((end - start) / step + 1e-9)) + 1
+    for i in range(npts):
+        value = start + i * step
+        yield value, {**spec.params, name: value}
 
 
 def _cell_reports(spec):
@@ -339,56 +337,6 @@ def fold_sweep(n, lam_start, lam_end, lam_step):
     return last
 
 
-def _add_solver_flags(sub):
-    """The solve and sweep flags; their defaults are the library's."""
-    # a dataclass keeps each field's default as a class attribute
-    cfg, spec = SolverConfig, ExperimentSpec
-    sub.add_argument("--problem", required=True, choices=PROBLEM_IDS)
-    sub.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="problem parameter, e.g. c=0.5 or n=100 (repeatable)",
-    )
-    sub.add_argument(
-        "--method",
-        action="append",
-        default=[],
-        choices=METHODS,
-        help="solver method (repeatable)",
-    )
-    sub.add_argument("--m", type=int, default=cfg.m, help="Anderson depth (method na)")
-    sub.add_argument("--r", type=float, default=cfg.r, help="fixed safeguard parameter (gna)")
-    sub.add_argument(
-        "--rhat", type=float, default=cfg.r_hat, help="adaptive safeguard cap (agna)"
-    )
-    sub.add_argument("--activation", choices=ACTIVATIONS, default=cfg.activation)
-    sub.add_argument(
-        "--threshold",
-        type=float,
-        default=cfg.threshold,
-        help="step-norm threshold for asymptotic activation",
-    )
-    sub.add_argument(
-        "--switch-to-m1-at",
-        type=float,
-        default=cfg.switch_to_m1_at,
-        help="step-norm threshold at which NA(m) drops to safeguarded depth 1",
-    )
-    sub.add_argument("--tol", type=float, default=cfg.tol)
-    sub.add_argument("--max-iter", type=int, default=cfg.max_iter)
-    sub.add_argument(
-        "--linesearch",
-        default="none",
-        metavar=LINESEARCH_USAGE,
-        help="optional Armijo backtracking on the composite step",
-    )
-    sub.add_argument("--x0", default=spec.x0, help=f"initial iterate: {X0_USAGE}")
-    sub.add_argument("--output", default=spec.output, help="output directory")
-    sub.add_argument("--format", choices=FORMATS, default=spec.fmt)
-
-
 def _parse_params(pairs):
     params = {}
     for pair in pairs:
@@ -445,16 +393,19 @@ def _parse_sweep(text):
 
 
 def _cmd_experiment(args):
-    """solve (or compare) and sweep: build the experiment, run it, print the summary."""
+    """solve, compare or sweep: build the experiment, run it, print the summary.
+
+    Without ``--sweep`` there is one cell, so ``--warm-start`` changes nothing.
+    """
     spec = ExperimentSpec(
         problem=args.problem,
         params=_parse_params(args.param),
         configs=_configs_from_args(args),
         x0=args.x0,
-        sweep=_parse_sweep(args.sweep) if args.command == "sweep" else None,
+        sweep=None if args.sweep is None else _parse_sweep(args.sweep),
         fmt=args.format,
         output=args.output,
-        warm_start=getattr(args, "warm_start", False),
+        warm_start=args.warm_start,
     )
     code, written = run_experiment(spec)
     print(written[-1].read_bytes().decode(), end="")
@@ -478,23 +429,65 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = subs.add_parser(
-        "solve", aliases=["compare"], help="run one or more methods on one problem"
+    cmd = subs.add_parser(
+        "solve", aliases=["compare", "sweep"], help="run methods on a problem or grid"
     )
-    _add_solver_flags(p_solve)
-
-    p_sweep = subs.add_parser("sweep", help="sweep a problem parameter over a grid")
-    _add_solver_flags(p_sweep)
-    p_sweep.add_argument(
-        "--sweep", required=True, metavar="NAME:START:END:STEP", help="parameter grid"
+    cmd.set_defaults(run=_cmd_experiment)
+    # each default is the library's; a dataclass keeps it as a class attribute
+    cfg, spec = SolverConfig, ExperimentSpec
+    cmd.add_argument("--problem", required=True, choices=PROBLEM_IDS)
+    cmd.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="problem parameter, e.g. c=0.5 or n=100 (repeatable)",
     )
-    p_sweep.add_argument(
+    cmd.add_argument(
+        "--method",
+        action="append",
+        default=[],
+        choices=METHODS,
+        help="solver method (repeatable)",
+    )
+    cmd.add_argument("--m", type=int, default=cfg.m, help="Anderson depth (method na)")
+    cmd.add_argument("--r", type=float, default=cfg.r, help="fixed safeguard parameter (gna)")
+    cmd.add_argument(
+        "--rhat", type=float, default=cfg.r_hat, help="adaptive safeguard cap (agna)"
+    )
+    cmd.add_argument("--activation", choices=ACTIVATIONS, default=cfg.activation)
+    cmd.add_argument(
+        "--threshold",
+        type=float,
+        default=cfg.threshold,
+        help="step-norm threshold for asymptotic activation",
+    )
+    cmd.add_argument(
+        "--switch-to-m1-at",
+        type=float,
+        default=cfg.switch_to_m1_at,
+        help="step-norm threshold at which NA(m) drops to safeguarded depth 1",
+    )
+    cmd.add_argument("--tol", type=float, default=cfg.tol)
+    cmd.add_argument("--max-iter", type=int, default=cfg.max_iter)
+    cmd.add_argument(
+        "--linesearch",
+        default="none",
+        metavar=LINESEARCH_USAGE,
+        help="optional Armijo backtracking on the composite step",
+    )
+    cmd.add_argument("--x0", default=spec.x0, help=f"initial iterate: {X0_USAGE}")
+    cmd.add_argument("--output", default=spec.output, help="output directory")
+    cmd.add_argument("--format", choices=FORMATS, default=spec.fmt)
+    cmd.add_argument("--sweep", metavar="NAME:START:END:STEP", help="parameter grid")
+    cmd.add_argument(
         "--warm-start",
         action="store_true",
         help="warm-start each cell from the previous converged solution",
     )
 
     p_ver = subs.add_parser("verify", help="locate the Bratu fold by continuation")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("check", choices=("fold",))
     p_ver.add_argument("--step", type=float, default=1e-4)
     p_ver.add_argument("--n", type=int, default=200)
@@ -512,9 +505,8 @@ def main(argv=None):
         # argparse exits 2 on usage errors; report those as 1
         return 0 if exc.code in (0, None) else 1
     try:
-        command = _cmd_verify if args.command == "verify" else _cmd_experiment
-        return command(args)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -134,11 +134,17 @@ def make_singular_quadratic():
     )
 
 
+_MAX_SIZE = np.iinfo(np.intp).max
+
+
 def _grid_size(n):
-    """``n`` as an int, ValueError unless integral."""
-    size = int(n)
-    if size != n:
-        raise ValueError(f"grid size must be an integer, got {n!r}")
+    """``n`` as an int; ValueError unless finite, integral and at most _MAX_SIZE."""
+    try:
+        size = int(n)
+    except (OverflowError, ValueError):  # inf, nan
+        size = None
+    if size != n or size > _MAX_SIZE:
+        raise ValueError(f"grid size must be an integer up to {_MAX_SIZE}, got {n!r}")
     return size
 
 

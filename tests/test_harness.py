@@ -414,21 +414,31 @@ class TestCli:
         assert capsys.readouterr().out.endswith("wrote 3 file(s) under "
                                                 f"{tmp_path / 'x'}\n")
 
-    @pytest.mark.parametrize("methods", [[], ["newton", "na", "agna"]],
-                             ids=["default", "three"])
-    def test_compare_is_solve(self, methods, tmp_path, capsys):
-        flags = ["--problem", "chandrasekhar", "--param", "c=1.0", "--param", "n=20",
-                 *(arg for method in methods for arg in ("--method", method))]
-        for command in ("solve", "compare"):
+    @pytest.mark.parametrize(
+        "flags, nfiles",
+        [
+            (["--problem", "chandrasekhar", "--param", "c=1.0", "--param", "n=20"], 2),
+            (["--problem", "chandrasekhar", "--param", "c=1.0", "--param", "n=20",
+              "--method", "newton", "--method", "na", "--method", "agna"], 4),
+            # 7 grid cells x 2 methods, plus the summary
+            (["--problem", "bratu1d", "--param", "n=20", "--method", "newton",
+              "--method", "agna", "--sweep", "lambda:3.40:3.52:0.02", "--warm-start"], 15),
+        ],
+        ids=["default", "three", "sweep"],
+    )
+    def test_compare_is_solve(self, flags, nfiles, tmp_path, capsys):
+        names = ("solve", "compare", "sweep")
+        for command in names:
             assert main([command, *flags, "--output", str(tmp_path / command)]) == 0
-        assert capsys.readouterr().out.count("wrote ") == 2
+        assert capsys.readouterr().out.count("wrote ") == 3
         solved = sorted((tmp_path / "solve").iterdir())
-        assert len(solved) == max(len(methods), 1) + 1
-        assert [p.name for p in solved] == sorted(
-            p.name for p in (tmp_path / "compare").iterdir()
-        )
-        for path in solved:
-            assert path.read_bytes() == (tmp_path / "compare" / path.name).read_bytes()
+        assert len(solved) == nfiles
+        for command in names[1:]:
+            assert [p.name for p in solved] == sorted(
+                p.name for p in (tmp_path / command).iterdir()
+            )
+            for path in solved:
+                assert path.read_bytes() == (tmp_path / command / path.name).read_bytes()
 
     def test_usage_error_exit_code(self):
         assert main(["solve", "--problem", "unknown"]) == 1

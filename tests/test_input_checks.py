@@ -20,6 +20,8 @@ from nasolve import (
     SolverConfig,
     estimate_order,
     least_squares,
+    make_bratu_1d,
+    make_chandrasekhar,
     make_singular_quadratic,
     problem_from_id,
     solve,
@@ -176,3 +178,33 @@ def test_cli_accepts_an_integral_float_grid_size(tmp_path, capsys):
                "--output", str(tmp_path / "out")])
     assert rc == 0
     assert ",newton,converged," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", ["bratu1d", "chandrasekhar"])
+@pytest.mark.parametrize("n", ["inf", "-inf", "nan", "1e300"])
+def test_cli_rejects_a_grid_size_no_array_can_have(problem, n, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", problem, "--param", f"n={n}", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: grid size must be an integer up to")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [make_bratu_1d, make_chandrasekhar])
+@pytest.mark.parametrize("n", [10**400, float("inf")], ids=["10**400", "inf"])
+def test_library_rejects_a_grid_size_no_array_can_have(make, n):
+    # 10**400 is beyond float range: int(n) works, float(n) would overflow
+    with pytest.raises(ValueError, match="grid size must be an integer up to"):
+        make(1.0, n)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "path_under_file"])
+def test_cli_output_naming_a_file_exits_one(inside, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"kept\n")
+    out = taken / "out" if inside else taken
+    rc = main(["solve", "--problem", "singular_quadratic", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_bytes() == b"kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
