@@ -1,9 +1,9 @@
 """Post-hoc analysis of solver runs.
 
 Convergence-order estimation from step norms, null/range error decomposition
-against ground truth, step ratios and optimization gains derived from the
-records, and safeguard-behavior summaries.  All functions here are pure over
-immutable reports and safe for concurrent use.
+against ground truth, and step ratios and optimization gains derived from the
+records.  All functions here are pure over immutable reports and safe for
+concurrent use.
 """
 
 import math
@@ -15,26 +15,14 @@ import numpy as np
 from .linalg import _difference_matrix, _matvec, _norm
 
 __all__ = [
-    "OrderUndefined",
-    "MissingGroundTruth",
     "ConvergenceReport",
     "estimate_order",
     "decompose_errors",
     "step_gains",
-    "quasi_restart_count",
-    "null_space_gamma",
 ]
 
 # sigma_k = |P_R e| / |P_N e| is reported as inf below this denominator
 _SIGMA_FLOOR = 1e-30
-
-
-class OrderUndefined(Exception):
-    """Too few eligible step norms to estimate a convergence order."""
-
-
-class MissingGroundTruth(Exception):
-    """The requested diagnostic needs ground-truth data the problem lacks."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +54,7 @@ class ConvergenceReport:
     def q_term(self):
         """Terminal convergence-order estimate, or None when undefined."""
         norms = [rec.step_norm for rec in self.records if rec.step_norm > 0.0]
-        try:
-            return estimate_order(norms)[1]
-        except OrderUndefined:
-            return None
+        return estimate_order(norms)[1]
 
 
 def _step_orders(norms):
@@ -87,10 +72,9 @@ def estimate_order(step_norms):
     For consecutive step norms a, b with both below 1 the estimate is
     ``q = log(b) / log(a)``; pairs straddling 1 are skipped since the
     log-ratio is meaningless there.  ``q_term`` is the median of the last
-    three eligible q values (fewer when the run is short).
-
-    Raises OrderUndefined when fewer than 3 step norms below 1 are
-    available.
+    three eligible q values (fewer when the run is short), and None when
+    fewer than 3 step norms lie below 1 or no pair is eligible.  Raises
+    ValueError unless the step norms form a 1-D sequence of positive numbers.
     """
     norms = np.asarray(step_norms, dtype=float)
     if norms.ndim != 1:
@@ -99,9 +83,8 @@ def estimate_order(step_norms):
         raise ValueError("step norms must be positive")
     qs = [q for q in _step_orders(norms.tolist()) if q is not None]
     below = int(np.count_nonzero(norms < 1.0))
-    if below < 3 or not qs:
-        raise OrderUndefined(f"need at least 3 step norms below 1, have {below}")
-    return np.asarray(qs), statistics.median(qs[-3:])
+    q_term = statistics.median(qs[-3:]) if below >= 3 and qs else None
+    return np.asarray(qs), q_term
 
 
 def decompose_errors(report, truth):
@@ -111,10 +94,11 @@ def decompose_errors(report, truth):
     orthogonal projections are P_N = phi phi^T and P_R = I - phi phi^T.
     Returns an array of shape (iterations, 3) with columns
     ``(|P_N e_k|, |P_R e_k|, sigma_k)`` where ``sigma_k`` is their ratio
-    (inf when the null component is below 1e-30).
+    (inf when the null component is below 1e-30).  Raises ValueError when
+    ``truth`` lacks a root or a null vector.
     """
     if truth is None or truth.root is None or truth.null_vector is None:
-        raise MissingGroundTruth("need both a root and a null vector")
+        raise ValueError("need both a root and a null vector")
     xstar = np.asarray(truth.root, dtype=float)
     phi = np.asarray(truth.null_vector, dtype=float)
     out = np.empty((len(report.records), 3))
@@ -172,44 +156,3 @@ def step_gains(report):
             gains.append((eta, theta, theta_lam))
             prev = rec
     return gains
-
-
-def quasi_restart_count(report, r_hat):
-    """Number of safeguarded iterations with r < r_hat before the terminal decay.
-
-    The terminal decay is the maximal strictly-decreasing suffix of the
-    r history; iterations inside it are the expected asymptotic behavior,
-    while earlier dips below r_hat mark transient quasi-restarts.  Runs
-    without safeguarded iterations count zero.
-    """
-    r = report.r_history.tolist()
-    if not r:
-        return 0
-    start = len(r) - 1
-    while start > 0 and r[start] < r[start - 1]:
-        start -= 1
-    return int(sum(1 for v in r[:start] if v < r_hat))
-
-
-def null_space_gamma(report, truth):
-    """Mixing coefficient restricted to the null space, per mixing step.
-
-    For consecutive steps w_next, w_prev and unit null vector phi this is
-
-        (P_N w_next)^T (P_N w_next - P_N w_prev) / |P_N w_next - P_N w_prev|^2
-
-    which reduces to a/(a - b) with a = phi.w_next and b = phi.w_prev.
-    Computable only with ground truth; entries are NaN where the projected
-    steps coincide.  Returned array aligns with ``report.records[1:]``.
-    """
-    if truth is None or truth.null_vector is None:
-        raise MissingGroundTruth("need a null vector")
-    phi = np.asarray(truth.null_vector, dtype=float)
-    proj = [float(phi @ rec.w) for rec in report.records]
-    out = np.full(max(len(proj) - 1, 0), np.nan)
-    for i in range(1, len(proj)):
-        a, b = proj[i], proj[i - 1]
-        d = a - b
-        if abs(d) > _SIGMA_FLOOR:
-            out[i - 1] = a / d
-    return out

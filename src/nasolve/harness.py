@@ -506,8 +506,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -28,7 +28,13 @@ from nasolve import (
     solve_linear,
     step_gains,
 )
-from nasolve.harness import ExperimentSpec, emit_history, fold_sweep, run_experiment
+from nasolve.harness import (
+    ExperimentSpec,
+    _cell_reports,
+    emit_history,
+    fold_sweep,
+    run_experiment,
+)
 from oracle import gamma_grid_oracle, safeguard_case_oracle
 
 
@@ -185,7 +191,8 @@ def test_criterion_6_nonsingular_detection():
         for p, x0, tol in cases:
             na_rep = solve(p, x0, SolverConfig(method="na", m=1, tol=tol))
             print(f"  {p.name}: NA(1) q_term={na_rep.q_term} (recorded, not asserted)")
-            for r_hat in (0.1, 0.5, 0.9):
+            # every eta is below 0.1, so r_hat binds only at 0.01
+            for r_hat in (0.01, 0.1, 0.5, 0.9):
                 cfg = SolverConfig(method="agna", r_hat=r_hat, tol=tol)
                 report = solve(p, x0, cfg)
                 assert report.status == "converged"
@@ -195,6 +202,9 @@ def test_criterion_6_nonsingular_detection():
                 assert r_hist[-1] <= 1e-2 * r_hat
                 tail = r_hist[-min(3, len(r_hist)):]
                 assert all(b < a for a, b in zip(tail, tail[1:]))
+                if r_hat == 0.01:
+                    print(f"  {p.name}: r_hat=0.01 q_term={report.q_term}")
+                    assert any(r == r_hat for r in r_hist)
 
 
 def test_criterion_7_newton_reduction_and_depth_one_identity(monkeypatch):
@@ -323,3 +333,41 @@ def test_criterion_10_determinism_and_io(tmp_path):
                     for text in (csv_row[key], json_row[key]):
                         assert text == repr(float(value))
                         assert float(text) == value
+
+
+def test_criterion_11_strategies_on_a_continuation():
+    desc = "the three strategies beat Newton and NA(1) on warm sweeps to the fold"
+    with criterion(11, desc):
+        configs = {
+            "newton": SolverConfig(method="newton"),
+            "na_m1": SolverConfig(method="na", m=1),
+            "na_m3": SolverConfig(method="na", m=3),
+            "agna_always": SolverConfig(method="agna"),
+            "agna_asymptotic": SolverConfig(method="agna", activation="asymptotic"),
+            "na_m3_switch": SolverConfig(method="na", m=3, switch_to_m1_at=0.1),
+        }
+        names = list(configs)
+        strategies = ("agna_always", "agna_asymptotic", "na_m3_switch")
+        sweeps = [
+            ("bratu1d", {"n": 50}, ("lambda", 3.40, 3.51, 0.005)),
+            ("bratu1d", {"n": 100}, ("lambda", 3.40, 3.51, 0.001)),
+            ("bratu1d", {"n": 200}, ("lambda", 3.40, 3.51, 0.002)),
+            ("chandrasekhar", {"n": 100}, ("c", 0.9, 1.0, 0.005)),
+        ]
+        for problem, params, sweep in sweeps:
+            spec = ExperimentSpec(
+                problem=problem,
+                params=params,
+                configs=tuple(configs.values()),
+                sweep=sweep,
+                warm_start=True,
+            )
+            totals = dict.fromkeys(configs, 0)
+            for _, _, j, _, report in _cell_reports(spec):
+                assert report.status == "converged"
+                totals[names[j]] += report.iterations
+            print(f"  {problem} {params} {sweep}: {totals}")
+            for name in strategies:
+                margins = {ref: totals[ref] - totals[name] for ref in ("newton", "na_m1")}
+                print(f"    {name}: fewer iterations than {margins}")
+                assert min(margins.values()) > 0

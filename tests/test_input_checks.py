@@ -27,6 +27,7 @@ from nasolve import (
     solve,
     step_gains,
 )
+from nasolve import harness
 from nasolve.harness import ExperimentSpec, fold_sweep, main
 
 
@@ -196,6 +197,31 @@ def test_library_rejects_a_grid_size_no_array_can_have(make, n):
     # 10**400 is beyond float range: int(n) works, float(n) would overflow
     with pytest.raises(ValueError, match="grid size must be an integer up to"):
         make(1.0, n)
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 7.28 EiB for an array"),
+         "Unable to allocate 7.28 EiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_reports_a_grid_no_machine_can_hold(exc, message, tmp_path, capsys,
+                                                 monkeypatch):
+    # stands in for a grid size that _grid_size accepts but that no allocation
+    # can satisfy; a real allocation that size could take the machine's memory
+    def out_of_memory(name, params):
+        raise exc
+
+    monkeypatch.setattr(harness, "problem_from_id", out_of_memory)
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", "bratu1d", "--param", "n=10**18",
+               "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["file", "path_under_file"])

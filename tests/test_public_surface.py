@@ -40,6 +40,15 @@ def test_removed_names_are_gone():
     for name in ("lam", "r_used", "beta"):
         assert not hasattr(nasolve.IterationRecord, name)
     assert not hasattr(solver, "_NOT_APPLIED")
+    # an undefined order is None, and missing ground truth a ValueError
+    for name in (
+        "OrderUndefined",
+        "MissingGroundTruth",
+        "null_space_gamma",
+        "quasi_restart_count",
+    ):
+        assert not hasattr(nasolve, name)
+        assert not hasattr(diagnostics, name)
 
 
 def test_jacobian_is_required():
