@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _difference_matrix, _matvec, _norm
+from .linalg import _difference_matrix, _dot, _matvec, _norm
 
 __all__ = [
     "ConvergenceReport",
@@ -95,18 +95,23 @@ def decompose_errors(report, truth):
     Returns an array of shape (iterations, 3) with columns
     ``(|P_N e_k|, |P_R e_k|, sigma_k)`` where ``sigma_k`` is their ratio
     (inf when the null component is below 1e-30).  Raises ValueError when
-    ``truth`` lacks a root or a null vector.
+    ``truth`` lacks a root or a null vector, or when either differs in shape
+    from the iterates.
     """
     if truth is None or truth.root is None or truth.null_vector is None:
         raise ValueError("need both a root and a null vector")
     xstar = np.asarray(truth.root, dtype=float)
     phi = np.asarray(truth.null_vector, dtype=float)
+    shape = report.records[0].x.shape if report.records else xstar.shape
+    if not xstar.shape == phi.shape == shape:
+        raise ValueError(f"root {xstar.shape} and null_vector {phi.shape} "
+                         f"do not have the iterates' shape {shape}")
     out = np.empty((len(report.records), 3))
     for i, rec in enumerate(report.records):
         e = rec.x - xstar
-        a = float(phi @ e)
+        a = _dot(phi, e)
         pn = abs(a)
-        pr = float(np.linalg.norm(e - a * phi))
+        pr = _norm(e - a * phi)
         out[i] = (pn, pr, pr / pn if pn >= _SIGMA_FLOOR else np.inf)
     return out
 

@@ -23,9 +23,11 @@ that no solve uses.  The routines are the very objects that
 is scipy.linalg.lapack.dgetrf`` once both are imported), so every result is
 the same.  ``scipy.linalg`` itself stays unimported, and a later ``import
 scipy.linalg`` runs its usual init over the two modules already loaded.
-The private ``_norm``, ``_dot`` and ``_matvec`` compute every product of a
-solve on this BLAS, bitwise equal to NumPy's ``@`` on NumPy's own OpenBLAS
-build, so that the products depend on one BLAS build, not two.
+The private ``_norm``, ``_dot`` and ``_matvec`` compute every product of the
+package, each on this BLAS and bitwise equal to NumPy's on NumPy's own
+OpenBLAS; no other module calls BLAS, LAPACK, ``@`` or ``np.linalg``.  Only
+a norm whose squares sum below the smallest normal float differs: ``dnrm2``
+gives it, so that a nonzero vector never has norm 0.0.
 """
 
 import importlib.util
@@ -62,6 +64,7 @@ blas = _load_scipy_linalg_module("_fblas")
 lapack = _load_scipy_linalg_module("_flapack")
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Columns whose pivot falls below this fraction of |R11| are treated as
 # numerically dependent and dropped from the least-squares basis.
@@ -132,8 +135,10 @@ def _norm(v):
     """Euclidean norm of a C-contiguous 1-D float array, bitwise equal to
     ``np.linalg.norm``, which takes the square root of ``v.dot(v)``: the same
     ``ddot``, on SciPy's BLAS.  A sum of squares is never -0.0, so unlike
-    ``_dot`` it needs no 0.0 added."""
-    return math.sqrt(blas.ddot(v, v))
+    ``_dot`` it needs no 0.0 added.  A sum below ``_TINY`` may have
+    underflowed, even to 0.0; there ``dnrm2``, which scales, gives the norm."""
+    squares = blas.ddot(v, v)
+    return blas.dnrm2(v) if squares < _TINY else math.sqrt(squares)
 
 
 def _dot(a, b):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tridiagonal, blas
+from .linalg import Tridiagonal, _matvec, _norm
 
 __all__ = [
     "GroundTruth",
@@ -91,16 +91,26 @@ class NonlinearProblem:
         truth = self.metadata
         if truth is None:
             return
+        shape = (self.dimension,)
+        for name in ("root", "null_vector"):
+            value = getattr(truth, name)
+            if value is not None and np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape}")
         if truth.root is not None:
             root = np.asarray(truth.root, dtype=float)
-            fnorm = float(np.linalg.norm(self.residual(root)))
-            if fnorm > 1e-10 * (1.0 + float(np.linalg.norm(root))):
+            fnorm = _norm(np.asarray(self.residual(root), dtype=float))
+            if fnorm > 1e-10 * (1.0 + _norm(root)):
                 raise ValueError(f"declared root has residual norm {fnorm:.3e}")
             if truth.null_vector is not None:
                 phi = np.asarray(truth.null_vector, dtype=float)
-                if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
+                if abs(_norm(phi) - 1.0) > 1e-12:
                     raise ValueError("null_vector is not unit length")
-                jnorm = float(np.linalg.norm(self.jacobian(root) @ phi))
+                J = np.asarray(self.jacobian(root), dtype=float)
+                if J.shape != shape * 2:
+                    raise ValueError(
+                        f"jacobian returned shape {J.shape}, expected {shape * 2}"
+                    )
+                jnorm = _norm(_matvec(J, phi))
                 if jnorm > 1e-8:
                     raise ValueError(
                         f"null_vector is not in the Jacobian kernel: |J phi| = {jnorm:.3e}"
@@ -170,12 +180,10 @@ def make_chandrasekhar(c, n):
     np.divide((c / (2.0 * n)) * mu[:, None], A, out=A)
 
     def A_times(H):
-        """``A @ H`` for a float vector H, as ``dgemv_t`` on the Fortran view
-        ``A.T`` (no copy): the kernel NumPy's matmul runs here, on the BLAS
-        that LAPACK runs on."""
+        """``A @ H`` for a float vector H: ``dgemv_t`` on the view ``A.T``."""
         if H.shape != (n,):
             raise ValueError(f"expected a vector of length {n}, got shape {H.shape}")
-        return blas.dgemv(1.0, A.T, H, trans=1)
+        return _matvec(A, H)
 
     def residual(H):
         H = np.asarray(H, dtype=float)

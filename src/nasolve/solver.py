@@ -40,7 +40,6 @@ from .linalg import (
     _dot,
     _matvec,
     _norm,
-    blas,
     least_squares,
     solve_linear,
 )
@@ -189,7 +188,7 @@ def anderson_gamma_1(w_next, d, scale):
     equal to machine precision) the coefficient is defined as 0, i.e. a pure
     Newton step.
     """
-    dd = blas.ddot(d, d)
+    dd = _dot(d, d)
     if math.sqrt(dd) <= _EPS * scale:
         return 0.0
     return _dot(d, w_next) / dd
@@ -298,7 +297,7 @@ def armijo_backtrack(p, x, direction, c1, shrink, max_backtracks, fnorm):
         xt = x + t * direction if i else x + direction
         ft = _residual(p, xt)
         # a non-finite ft gives an inf or NaN ft . ft, which fails the test
-        if 0.5 * blas.ddot(ft, ft) <= 0.5 * fn2 - c1 * t * fn2:
+        if 0.5 * _dot(ft, ft) <= 0.5 * fn2 - c1 * t * fn2:
             return t, True, xt, ft
     return t, False, xt, ft
 

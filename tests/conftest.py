@@ -1,4 +1,6 @@
+import ctypes
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,64 @@ def _check_decision(dec):
 def check_decision():
     """The ``SafeguardDecision`` invariant check, as a callable."""
     return _check_decision
+
+
+def _openblas_query(lib, name, restype):
+    """``scipy_openblas_<name>`` of a loaded OpenBLAS, with or without the
+    ``64_`` suffix of the 64-bit-integer build; "unknown" without either."""
+    for suffix in ("", "64_"):
+        func = getattr(lib, f"scipy_openblas_{name}{suffix}", None)
+        if func is not None:
+            func.argtypes, func.restype = [], restype
+            value = func()
+            return value.decode() if isinstance(value, bytes) else value
+    return "unknown"
+
+
+def _openblas_builds():
+    """``{library: (core, config, threads)}`` for each OpenBLAS in this process.
+
+    NumPy's and SciPy's OpenBLAS are loaded first (SciPy's through
+    ``nasolve.linalg``), then found in ``/proc/self/maps`` and asked through
+    ctypes, as ``bench/run.py`` asks them.  A library is named by its
+    directory and file, so NumPy's reads ``numpy.libs/...`` and SciPy's
+    ``scipy.libs/...`` when both come from the wheels.
+    """
+    try:
+        import numpy  # noqa: F401
+        import nasolve.linalg  # noqa: F401
+    except ImportError:
+        pass
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        paths = []
+    builds = {}
+    for path in map(Path, paths):
+        lib = ctypes.CDLL(str(path))
+        builds[f"{path.parent.name}/{path.name}"] = (
+            _openblas_query(lib, "get_corename", ctypes.c_char_p),
+            _openblas_query(lib, "get_config", ctypes.c_char_p),
+            _openblas_query(lib, "get_num_threads", ctypes.c_int),
+        )
+    return builds
+
+
+def pytest_report_header(config):
+    """One line per OpenBLAS: the kernel family that ran the goldens."""
+    builds = _openblas_builds()
+    if not builds:
+        return "openblas: unknown (none found in /proc/self/maps)"
+    return [
+        f"openblas {lib}: core {core}, {threads} threads, config {cfg}"
+        for lib, (core, cfg, threads) in builds.items()
+    ]
+
+
+@pytest.fixture(scope="session")
+def scipy_openblas_core():
+    """The kernel family of SciPy's OpenBLAS, which every solve runs on."""
+    cores = [core for lib, (core, _, _) in _openblas_builds().items()
+             if lib.startswith("scipy")]
+    return cores[0] if cores else "unknown"

@@ -18,6 +18,7 @@ from nasolve import (
     IterationRecord,
     NonlinearProblem,
     SolverConfig,
+    decompose_errors,
     estimate_order,
     least_squares,
     make_bratu_1d,
@@ -49,6 +50,19 @@ class TestNonlinearProblem:
         truth = GroundTruth(root=np.zeros(2), null_vector=np.array([2.0, 0.0]))
         with pytest.raises(ValueError, match="not unit length"):
             _quadratic(metadata=truth)
+
+    @pytest.mark.parametrize("field", ["root", "null_vector"])
+    def test_ground_truth_of_wrong_length(self, field):
+        # the residual reads x[0] and x[1] only, so it accepts a longer root
+        fields = {"root": np.zeros(2), "null_vector": np.array([1.0, 0.0])}
+        fields[field] = np.append(fields[field], 0.0)
+        with pytest.raises(ValueError, match=rf"{field} has shape \(3,\), expected \(2,\)"):
+            _quadratic(metadata=GroundTruth(**fields))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2, 1)])
+    def test_jacobian_of_wrong_shape_at_the_root(self, shape):
+        with pytest.raises(ValueError, match=rf"jacobian returned shape \({shape[0]}, {shape[1]}\)"):
+            _quadratic(jacobian=lambda x: np.ones(shape))
 
     def test_null_vector_outside_the_kernel(self):
         # J(0) = diag(0, 1) maps (0, 1) to itself
@@ -85,6 +99,16 @@ def test_step_gains_rejects_a_window_longer_than_the_history():
         step_gains(ConvergenceReport(records, "max_iter"))
 
 
+@pytest.mark.parametrize("field", ["root", "null_vector"])
+def test_decompose_errors_rejects_ground_truth_of_wrong_length(field):
+    # a length-1 null vector would otherwise meet only e[0] in ddot
+    p = make_singular_quadratic()
+    report = solve(p, p.default_start, SolverConfig())
+    truth = dataclasses.replace(p.metadata, **{field: np.ones(1)})
+    with pytest.raises(ValueError, match=r"do not have the iterates' shape \(2,\)"):
+        decompose_errors(report, truth)
+
+
 def _scalar_problem(residual, jacobian):
     return NonlinearProblem("scalar", 1, residual, jacobian, np.zeros(1))
 
@@ -98,8 +122,8 @@ def test_solve_reraises_the_linear_solver_error_on_a_square_jacobian():
 
 def test_step_that_underflows_to_zero_ends_the_solve():
     # w = -1e-150 / 1e300 underflows to zero while |f| = 1e-150 > tol; the
-    # status is pinned as it is.  (With f = 1e-300, |f|^2 underflows and the
-    # residual test ends the solve first.)
+    # status is pinned as it is.  (With f = 1e-300 the residual test,
+    # |f| <= tol, ends the solve first.)
     p = _scalar_problem(
         lambda x: np.array([1e-150]), lambda x: np.array([[1e300]], order="F")
     )

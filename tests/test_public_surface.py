@@ -1,15 +1,18 @@
-"""The package's public names: each stated once, in its module's ``__all__``.
+"""The package's public names: each stated once, in its module's ``__all__``;
+and ``nasolve.linalg`` as the one module that computes a product.
 
 Needs only pytest, so it also runs against the oldest supported NumPy and
 SciPy.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 import nasolve
-from nasolve import diagnostics, linalg, problem, solver
+from nasolve import diagnostics, harness, linalg, problem, solver
 
 MODULES = (diagnostics, linalg, problem, solver)
 
@@ -61,3 +64,38 @@ def test_jacobian_is_required():
             jacobian=None,
             default_start=p.default_start,
         )
+
+
+def _product_sites(tree):
+    """``(line, what)`` for each ``@``, ``.dot(`` call, ``<module>.linalg``
+    attribute or absolute import of a ``linalg`` module in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if isinstance(node.op, ast.MatMult):
+                yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+                yield node.lineno, ".dot("
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "linalg":
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``from .linalg import ...`` is relative (level 1) and allowed
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if getattr(node, "level", 0) == 0 and any("linalg" in n for n in names):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_only_linalg_binds_blas_and_computes_products():
+    for module in (diagnostics, harness, problem, solver):
+        assert not hasattr(module, "blas"), module.__name__
+        assert not hasattr(module, "lapack"), module.__name__
+    found = [
+        (path.name, *site)
+        for path in sorted(Path(nasolve.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for site in _product_sites(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -2,7 +2,9 @@
 
 Pytest does not collect the digest script itself, so a renamed config field
 or record attribute would only show when someone runs it by hand.  This
-test builds every group and digests all but the micro_2x2 ones.
+module builds every group, digests all but the micro_2x2 ones, and compares
+the groups that no BLAS thread count moves with their digests on AVX-512
+kernels.
 """
 
 import hashlib
@@ -12,6 +14,27 @@ import sys
 import warnings
 from pathlib import Path
 from unittest import mock
+
+import pytest
+
+# The groups whose dense solves all stay below n = 144, from where the BLAS
+# thread count changes the bits of an LU (ROADMAP.md, item 1), as
+# ``PYTHONPATH=src python tests/record_digest.py`` prints them on SkylakeX
+# kernels.  "chandrasekhar c=1 n=300" is left out: under pytest nasolve runs
+# at the default thread count, not the script's one thread.
+PINNED = {
+    "3 problems x 14 configs":
+        "5254c145890c22a92163537dd2ba062bf712e500691b14faff6f35012fecd212",
+    "linesearch, depth, switch, activation, max_iter":
+        "503e208a47c5b4e5f8a4ae3bf9d4452dba52f10b4a8b9285e9653f0e4916ef96",
+    "overflow and divergence":
+        "b71ab62c0f603c8cdc4e2255f03caf6ec081aa8faa67d234f89577532c15b86f",
+    "overflowing Anderson window":
+        "aa9a55e41fec8bf123c67a77b3f651136cc15eb53897672d22587b24a711f166",
+    "linesearch edge directions":
+        "47ec76863208cd583f041d33b513640075b9280bc7563edf1415a8d8bdb008dd",
+}
+AVX512_CORES = ("SkylakeX", "Cooperlake", "SapphireRapids")
 
 
 def _load_record_digest():
@@ -24,12 +47,12 @@ def _load_record_digest():
     return module
 
 
-def test_record_digest_builds_and_digests_its_groups(monkeypatch):
+@pytest.fixture(scope="module")
+def digested():
+    """The groups, the digest of each but the micro_2x2 ones, and every
+    ``(problem, config, exception)`` that a solve raised."""
     rd = _load_record_digest()
     groups = list(rd.groups())
-    assert len(groups) == 9
-    assert all(jobs for _, jobs in groups)
-
     raised = []
     original = rd.solve
 
@@ -40,9 +63,9 @@ def test_record_digest_builds_and_digests_its_groups(monkeypatch):
             raised.append((p.name, cfg, exc))
             raise
 
-    monkeypatch.setattr(rd, "solve", solve)
     digests = {}
-    with warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(rd, "solve", solve)
         warnings.simplefilter("ignore", RuntimeWarning)
         for name, jobs in groups:
             if name.startswith("micro_2x2"):
@@ -51,6 +74,24 @@ def test_record_digest_builds_and_digests_its_groups(monkeypatch):
             for p, x0, cfg in jobs:
                 rd._feed_solve(h, p, x0, cfg)
             digests[name] = h.hexdigest()
+    return groups, digests, raised
+
+
+def test_record_digest_builds_and_digests_its_groups(digested):
+    groups, digests, raised = digested
+    assert len(groups) == 9
+    assert all(jobs for _, jobs in groups)
     assert len(digests) == 6
     # every numerical failure in these groups comes back as a status
     assert raised == []
+
+
+def test_thread_count_independent_groups_keep_their_digests(
+    digested, scipy_openblas_core
+):
+    if scipy_openblas_core not in AVX512_CORES:
+        pytest.skip(
+            f"digests pinned on AVX-512 kernels; SciPy's OpenBLAS runs {scipy_openblas_core}"
+        )
+    _, digests, _ = digested
+    assert {name: digests[name] for name in PINNED} == PINNED

@@ -747,6 +747,24 @@ class TestSolve:
         assert report.x_final.tolist() == [1e20]
 
     @pytest.mark.parametrize("method", ["newton", "agna"])
+    @pytest.mark.parametrize(
+        "f, J", [([1.0], [[1e170]]), ([1e3, 1.0], [[1e200, 0.0], [0.0, 1e200]])],
+        ids=["1d", "2d"],
+    )
+    def test_step_whose_squares_underflow_is_not_a_zero_step(self, method, f, J):
+        # |w| = |f| / 1e170 or 1e200: every square of w underflows to 0.0, yet
+        # the residual stays at |f| >= 1, so the solve has not converged
+        f, J = np.array(f), np.array(J)
+        n = len(f)
+        p = NonlinearProblem("lin", n, lambda x: f, lambda x: J.copy(), np.zeros(n))
+        report = solve(p, p.default_start, SolverConfig(method=method))
+        assert report.status == "max_iter"
+        assert report.iterations == 200
+        expected = math.hypot(*np.linalg.solve(J, f))
+        for rec in report.records:
+            assert rec.step_norm == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("method", ["newton", "agna"])
     def test_each_linesearch_tests_its_direction_once(self, method, monkeypatch):
         tested = []
         all_finite = solver_mod._all_finite
@@ -839,19 +857,26 @@ class TestSafeguardInvariants:
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    arrays(
-        np.float64,
-        st.integers(1, 300),
-        elements=st.floats(allow_nan=False, allow_infinity=False),
-    )
-)
-def test_norm_helper_equals_numpy_norm_bitwise(v):
+@given(st.data())
+def test_norm_helper_equals_numpy_norm_bitwise(data):
+    # with entries below about 1e-162 the squares sum below the smallest
+    # normal float, where they may have underflowed
+    entries = data.draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-160, 1e-160)
+    ]))
+    v = data.draw(arrays(np.float64, st.integers(1, 300), elements=entries))
     with np.errstate(over="ignore"):
+        squares = v.dot(v)
         ref = np.linalg.norm(v)
         got = solver_mod._norm(v)
     assert type(got) is float
-    assert np.float64(got).tobytes() == ref.tobytes()
+    if squares >= np.finfo(float).tiny:
+        assert np.float64(got).tobytes() == ref.tobytes()
+    else:
+        # np.linalg.norm reads 0.0 where every square underflows
+        assert (got > 0.0) == bool(np.count_nonzero(v))
+        exact = math.hypot(*v)
+        assert abs(got - exact) <= 4 * math.ulp(exact)
 
 
 def _numpy_gamma_1(w_next, d, scale):
