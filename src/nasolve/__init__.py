@@ -3,7 +3,7 @@
 A small library and benchmark harness for solving square nonlinear systems
 f(x) = 0 with Newton's method, depth-m Anderson-accelerated Newton, and
 (adaptively) safeguarded Newton-Anderson, plus diagnostics that measure
-convergence orders and null/range error decompositions on the built-in
+convergence orders, step ratios and optimization gains on the built-in
 singular and near-singular test problems.
 """
 

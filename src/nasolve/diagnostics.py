@@ -1,9 +1,8 @@
 """Post-hoc analysis of solver runs.
 
-Convergence-order estimation from step norms, null/range error decomposition
-against ground truth, and step ratios and optimization gains derived from the
-records.  All functions here are pure over immutable reports and safe for
-concurrent use.
+Convergence-order estimation from step norms, and step ratios and
+optimization gains derived from the records.  All functions here are pure
+over immutable reports and safe for concurrent use.
 """
 
 import math
@@ -12,17 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _difference_matrix, _dot, _matvec, _norm
+from .linalg import _difference_matrix, _matvec, _norm
 
 __all__ = [
     "ConvergenceReport",
     "estimate_order",
-    "decompose_errors",
     "step_gains",
 ]
-
-# sigma_k = |P_R e| / |P_N e| is reported as inf below this denominator
-_SIGMA_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -85,35 +80,6 @@ def estimate_order(step_norms):
     below = int(np.count_nonzero(norms < 1.0))
     q_term = statistics.median(qs[-3:]) if below >= 3 and qs else None
     return np.asarray(qs), q_term
-
-
-def decompose_errors(report, truth):
-    """Split the error at every iterate into null and range components.
-
-    With a one-dimensional null space spanned by the unit vector phi the
-    orthogonal projections are P_N = phi phi^T and P_R = I - phi phi^T.
-    Returns an array of shape (iterations, 3) with columns
-    ``(|P_N e_k|, |P_R e_k|, sigma_k)`` where ``sigma_k`` is their ratio
-    (inf when the null component is below 1e-30).  Raises ValueError when
-    ``truth`` lacks a root or a null vector, or when either differs in shape
-    from the iterates.
-    """
-    if truth is None or truth.root is None or truth.null_vector is None:
-        raise ValueError("need both a root and a null vector")
-    xstar = np.asarray(truth.root, dtype=float)
-    phi = np.asarray(truth.null_vector, dtype=float)
-    shape = report.records[0].x.shape if report.records else xstar.shape
-    if not xstar.shape == phi.shape == shape:
-        raise ValueError(f"root {xstar.shape} and null_vector {phi.shape} "
-                         f"do not have the iterates' shape {shape}")
-    out = np.empty((len(report.records), 3))
-    for i, rec in enumerate(report.records):
-        e = rec.x - xstar
-        a = _dot(phi, e)
-        pn = abs(a)
-        pr = _norm(e - a * phi)
-        out[i] = (pn, pr, pr / pn if pn >= _SIGMA_FLOOR else np.inf)
-    return out
 
 
 def _ratio(a, b):

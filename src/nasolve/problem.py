@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tridiagonal, _matvec, _norm
+from .linalg import Tridiagonal, _matvec
 
 __all__ = [
-    "GroundTruth",
     "NonlinearProblem",
     "make_singular_quadratic",
     "make_chandrasekhar",
@@ -35,19 +34,6 @@ __all__ = [
     "problem_from_id",
     "PROBLEM_IDS",
 ]
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Known facts about a problem's root, consumed by the diagnostics.
-
-    ``root`` and ``null_vector`` are optional: they are only present where
-    they are known in closed form.  ``null_vector`` must be a unit vector
-    spanning the null space of the Jacobian at the root.
-    """
-
-    root: np.ndarray | None = None
-    null_vector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -74,7 +60,6 @@ class NonlinearProblem:
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray | Tridiagonal]
     default_start: np.ndarray
-    metadata: GroundTruth | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -85,36 +70,6 @@ class NonlinearProblem:
         if start.shape != (self.dimension,):
             raise ValueError("default_start length does not match dimension")
         object.__setattr__(self, "default_start", start)
-        self._check_metadata()
-
-    def _check_metadata(self):
-        truth = self.metadata
-        if truth is None:
-            return
-        shape = (self.dimension,)
-        for name in ("root", "null_vector"):
-            value = getattr(truth, name)
-            if value is not None and np.shape(value) != shape:
-                raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape}")
-        if truth.root is not None:
-            root = np.asarray(truth.root, dtype=float)
-            fnorm = _norm(np.asarray(self.residual(root), dtype=float))
-            if fnorm > 1e-10 * (1.0 + _norm(root)):
-                raise ValueError(f"declared root has residual norm {fnorm:.3e}")
-            if truth.null_vector is not None:
-                phi = np.asarray(truth.null_vector, dtype=float)
-                if abs(_norm(phi) - 1.0) > 1e-12:
-                    raise ValueError("null_vector is not unit length")
-                J = np.asarray(self.jacobian(root), dtype=float)
-                if J.shape != shape * 2:
-                    raise ValueError(
-                        f"jacobian returned shape {J.shape}, expected {shape * 2}"
-                    )
-                jnorm = _norm(_matvec(J, phi))
-                if jnorm > 1e-8:
-                    raise ValueError(
-                        f"null_vector is not in the Jacobian kernel: |J phi| = {jnorm:.3e}"
-                    )
 
 
 def make_singular_quadratic():
@@ -133,14 +88,12 @@ def make_singular_quadratic():
         x = np.asarray(x, dtype=float)
         return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]], order="F")
 
-    truth = GroundTruth(root=np.zeros(2), null_vector=np.array([1.0, 0.0]))
     return NonlinearProblem(
         name="singular_quadratic",
         dimension=2,
         residual=residual,
         jacobian=jacobian,
         default_start=np.array([1.0, 1.0]),
-        metadata=truth,
     )
 
 
@@ -245,7 +198,6 @@ def make_bratu_1d(lam, n):
         residual=residual,
         jacobian=jacobian,
         default_start=np.zeros(n),
-        metadata=GroundTruth(root=np.zeros(n)) if lam == 0.0 else None,
     )
 
 

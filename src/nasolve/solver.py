@@ -186,8 +186,10 @@ def anderson_gamma_1(w_next, d, scale):
     This is the unconstrained minimizer of |w_next - gamma*d| over float
     arrays.  ``scale`` is |w_next| + |w_prev|: when |d| <= eps * scale (steps
     equal to machine precision) the coefficient is defined as 0, i.e. a pure
-    Newton step.
+    Newton step.  Raises ValueError unless w_next and d have one shape.
     """
+    if w_next.shape != d.shape:
+        raise ValueError(f"w_next has shape {w_next.shape}, d has shape {d.shape}")
     dd = _dot(d, d)
     if math.sqrt(dd) <= _EPS * scale:
         return 0.0

@@ -155,8 +155,8 @@ def test_criterion_4_singular_linear_rate():
         sn = np.array([rec.step_norm for rec in report.records])
         ratios = (sn[1:] / sn[:-1])[-5:]
         assert np.all(np.abs(ratios - 0.5) <= 0.02)
-        phi = p.metadata.null_vector
-        pn = np.array([abs(phi @ (rec.x - p.metadata.root)) for rec in report.records])
+        # the root is 0 and (1, 0) spans the null space: the null error is |x_1|
+        pn = np.array([abs(rec.x[0]) for rec in report.records])
         null_ratios = (pn[1:] / pn[:-1])[-5:]
         assert np.all(np.abs(null_ratios - 0.5) <= 0.02)
 
@@ -371,3 +371,42 @@ def test_criterion_11_strategies_on_a_continuation():
                 margins = {ref: totals[ref] - totals[name] for ref in ("newton", "na_m1")}
                 print(f"    {name}: fewer iterations than {margins}")
                 assert min(margins.values()) > 0
+
+
+def safeguarded_rate(r):
+    """The steady step ratio rho of NA(1) with the gate r * eta at a singular
+    root with a one-dimensional null space: the root in (0, 1/2) of
+    2 r rho^2 - 2 rho + (1 - r) = 0.  Newton's step there is -e/2, so the
+    mixing coefficient is rho / (rho - 1) and the safeguard scales it to the
+    gate."""
+    return (1.0 - math.sqrt(1.0 - 2.0 * r * (1.0 - r))) / (2.0 * r)
+
+
+def test_criterion_12_safeguard_rate_on_singular_problems():
+    desc = "gna and agna converge at the closed-form rate on both singular problems"
+    with criterion(12, desc):
+        # agna gates with min(eta, r_hat): from r_hat >= r* on, the gate is
+        # eta itself and the rate is r*, the root of 2 rho^2 + 2 rho - 1 = 0
+        r_star = (math.sqrt(3.0) - 1.0) / 2.0
+        cases = [
+            *((SolverConfig(method="gna", r=r, tol=1e-12), safeguarded_rate(r))
+              for r in (0.1, 0.3, 0.5, 0.7)),
+            *((SolverConfig(method="agna", r_hat=r, tol=1e-12), safeguarded_rate(r))
+              for r in (0.1, 0.3)),
+            *((SolverConfig(method="agna", r_hat=r, tol=1e-12), r_star)
+              for r in (0.5, 0.9)),
+        ]
+        # faster than Newton's 1/2 for every r_hat
+        assert all(rate < 0.5 for cfg, rate in cases if cfg.method == "agna")
+        problems = [make_singular_quadratic()]
+        problems += [make_chandrasekhar(1.0, n) for n in (20, 100, 400)]
+        for p in problems:
+            worst = 0.0
+            for cfg, rate in cases:
+                report = solve(p, p.default_start, cfg)
+                assert report.status == "converged"
+                sn = np.array([rec.step_norm for rec in report.records])
+                deviation = np.abs((sn[1:] / sn[:-1])[-3:] - rate)
+                assert len(deviation) == 3 and np.all(deviation <= 1e-3)
+                worst = max(worst, float(deviation.max()))
+            print(f"  {p.name} n={p.dimension}: worst tail deviation {worst:.1e}")

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from nasolve import (
-    ConvergenceReport,
-    IterationRecord,
     NonlinearProblem,
     SolverConfig,
-    decompose_errors,
     estimate_order,
     make_chandrasekhar,
-    make_singular_quadratic,
     solve,
     step_gains,
 )
@@ -61,59 +57,6 @@ class TestEstimateOrder:
             qs, q_term = estimate_order(norms)
             np.testing.assert_allclose(qs, 2.0, atol=1e-12)
             assert q_term == pytest.approx(2.0, abs=1e-12)
-
-
-def synthetic_report(xs):
-    records = tuple(
-        IterationRecord(
-            k=k,
-            x=np.asarray(x, dtype=float),
-            w=np.zeros(2),
-            residual_norm=1.0,
-            step_norm=1e-3,
-        )
-        for k, x in enumerate(xs)
-    )
-    return ConvergenceReport(records=records, status="converged")
-
-
-class TestDecomposeErrors:
-    truth = make_singular_quadratic().metadata
-
-    def test_pure_null_error(self):
-        report = synthetic_report(xs=[self.truth.root + self.truth.null_vector])
-        out = decompose_errors(report, self.truth)
-        np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_pure_range_error(self):
-        e = np.array([0.0, 1.0])
-        report = synthetic_report(xs=[self.truth.root + e])
-        out = decompose_errors(report, self.truth)
-        assert out[0][0] == 0.0
-        assert out[0][1] == pytest.approx(1.0, abs=1e-15)
-        assert np.isinf(out[0][2])
-
-    def test_orthogonal_decomposition_property(self):
-        rng = np.random.default_rng(21)
-        xs = [self.truth.root + rng.standard_normal(2) for _ in range(50)]
-        out = decompose_errors(synthetic_report(xs=xs), self.truth)
-        for x, (pn, pr, _) in zip(xs, out):
-            e2 = float(np.linalg.norm(x - self.truth.root)) ** 2
-            assert pn**2 + pr**2 == pytest.approx(e2, abs=1e-12)
-
-    def test_newton_null_component_halves(self):
-        p = make_singular_quadratic()
-        report = solve(p, [1.0, 1.0], SolverConfig(method="newton", tol=1e-10))
-        out = decompose_errors(report, p.metadata)
-        pn = out[:, 0]
-        ratios = pn[1:] / pn[:-1]
-        np.testing.assert_allclose(ratios, 0.5, atol=0.02)
-
-    def test_missing_ground_truth(self):
-        p = make_chandrasekhar(1.0, 10)
-        report = synthetic_report(xs=[np.zeros(10)])
-        with pytest.raises(ValueError, match="need both a root and a null vector"):
-            decompose_errors(report, p.metadata)
 
 
 class TestGainHistory:

@@ -14,11 +14,10 @@ import pytest
 from nasolve import (
     ArmijoConfig,
     ConvergenceReport,
-    GroundTruth,
     IterationRecord,
     NonlinearProblem,
     SolverConfig,
-    decompose_errors,
+    anderson_gamma_1,
     estimate_order,
     least_squares,
     make_bratu_1d,
@@ -40,35 +39,11 @@ def _quadratic(**fields):
 class TestNonlinearProblem:
     def test_dimension_below_one(self):
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
-            _quadratic(dimension=0, default_start=np.zeros(0), metadata=None)
+            _quadratic(dimension=0, default_start=np.zeros(0))
 
     def test_default_start_of_wrong_length(self):
         with pytest.raises(ValueError, match="default_start length"):
             _quadratic(default_start=np.ones(3))
-
-    def test_null_vector_not_unit_length(self):
-        truth = GroundTruth(root=np.zeros(2), null_vector=np.array([2.0, 0.0]))
-        with pytest.raises(ValueError, match="not unit length"):
-            _quadratic(metadata=truth)
-
-    @pytest.mark.parametrize("field", ["root", "null_vector"])
-    def test_ground_truth_of_wrong_length(self, field):
-        # the residual reads x[0] and x[1] only, so it accepts a longer root
-        fields = {"root": np.zeros(2), "null_vector": np.array([1.0, 0.0])}
-        fields[field] = np.append(fields[field], 0.0)
-        with pytest.raises(ValueError, match=rf"{field} has shape \(3,\), expected \(2,\)"):
-            _quadratic(metadata=GroundTruth(**fields))
-
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2, 1)])
-    def test_jacobian_of_wrong_shape_at_the_root(self, shape):
-        with pytest.raises(ValueError, match=rf"jacobian returned shape \({shape[0]}, {shape[1]}\)"):
-            _quadratic(jacobian=lambda x: np.ones(shape))
-
-    def test_null_vector_outside_the_kernel(self):
-        # J(0) = diag(0, 1) maps (0, 1) to itself
-        truth = GroundTruth(root=np.zeros(2), null_vector=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="not in the Jacobian kernel"):
-            _quadratic(metadata=truth)
 
 
 @pytest.mark.parametrize("name", ["c1", "shrink"])
@@ -81,6 +56,12 @@ def test_armijo_fraction_outside_the_open_unit_interval(name, value):
 def test_least_squares_needs_a_matrix():
     with pytest.raises(ValueError, match="expected a 2-D matrix"):
         least_squares(np.ones(3), np.ones(3))
+
+
+def test_anderson_gamma_1_needs_steps_of_one_shape():
+    # ddot would meet only a prefix of the longer w_next, and give 3.0
+    with pytest.raises(ValueError, match=r"w_next has shape \(3,\), d has shape \(2,\)"):
+        anderson_gamma_1(np.array([1.0, 5.0, 7.0]), np.ones(2), 1.0)
 
 
 def test_estimate_order_needs_a_sequence():
@@ -97,16 +78,6 @@ def test_step_gains_rejects_a_window_longer_than_the_history():
     )
     with pytest.raises(ValueError, match="record 1 mixes 2 earlier steps"):
         step_gains(ConvergenceReport(records, "max_iter"))
-
-
-@pytest.mark.parametrize("field", ["root", "null_vector"])
-def test_decompose_errors_rejects_ground_truth_of_wrong_length(field):
-    # a length-1 null vector would otherwise meet only e[0] in ddot
-    p = make_singular_quadratic()
-    report = solve(p, p.default_start, SolverConfig())
-    truth = dataclasses.replace(p.metadata, **{field: np.ones(1)})
-    with pytest.raises(ValueError, match=r"do not have the iterates' shape \(2,\)"):
-        decompose_errors(report, truth)
 
 
 def _scalar_problem(residual, jacobian):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nasolve import (
-    GroundTruth,
-    NonlinearProblem,
     SolverConfig,
     Tridiagonal,
     make_bratu_1d,
@@ -33,16 +31,15 @@ class TestSingularQuadratic:
         )
 
     def test_ground_truth(self):
+        # the root 0, and (1, 0) spans the Jacobian's null space there
         p = make_singular_quadratic()
-        truth = p.metadata
-        np.testing.assert_array_equal(truth.root, [0.0, 0.0])
-        np.testing.assert_array_equal(truth.null_vector, [1.0, 0.0])
+        np.testing.assert_array_equal(p.residual(np.zeros(2)), [0.0, 0.0])
+        J = p.jacobian(np.zeros(2))
+        np.testing.assert_array_equal(J @ np.array([1.0, 0.0]), [0.0, 0.0])
 
     def test_jacobian_at_root_rank_one(self):
         p = make_singular_quadratic()
-        J = p.jacobian(p.metadata.root)
-        assert np.linalg.matrix_rank(J) == 1
-        np.testing.assert_array_equal(J @ p.metadata.null_vector, [0.0, 0.0])
+        assert np.linalg.matrix_rank(p.jacobian(np.zeros(2))) == 1
 
     def test_newton_halves_null_component_exactly(self):
         # x <- x - f'(x)^-1 f(x) halves the first component at every step
@@ -147,7 +144,6 @@ class TestBratu1d:
     def test_lambda_zero_root_is_zero(self):
         p = make_bratu_1d(0.0, 20)
         np.testing.assert_array_equal(p.residual(np.zeros(20)), np.zeros(20))
-        np.testing.assert_array_equal(p.metadata.root, np.zeros(20))
 
     def test_jacobian_is_tridiagonal_three_point_stencil(self):
         n, lam = 6, 2.0
@@ -176,7 +172,7 @@ class TestCheckJacobian:
     def test_exact_for_quadratic_at_root(self):
         # central differences are exact for quadratics up to rounding
         p = make_singular_quadratic()
-        assert check_jacobian(p, p.metadata.root, 1e-5) <= 1e-12
+        assert check_jacobian(p, np.zeros(2), 1e-5) <= 1e-12
 
     def test_chandrasekhar(self):
         p = make_chandrasekhar(0.5, 10)
@@ -200,23 +196,11 @@ class TestCheckJacobian:
 
 
 def test_declared_roots_have_tiny_residual():
+    # the closed-form roots: 0 for singular_quadratic and Bratu at lambda = 0
     for p in (make_singular_quadratic(), make_bratu_1d(0.0, 10)):
-        root = p.metadata.root
+        root = np.zeros(p.dimension)
         rnorm = np.linalg.norm(p.residual(root))
         assert rnorm <= 1e-10 * (1.0 + np.linalg.norm(root))
-
-
-def test_bad_ground_truth_rejected():
-    analytic = make_singular_quadratic()
-    with pytest.raises(ValueError, match="declared root has residual norm"):
-        NonlinearProblem(
-            name="bad",
-            dimension=2,
-            residual=analytic.residual,
-            jacobian=analytic.jacobian,
-            default_start=np.zeros(2),
-            metadata=GroundTruth(root=np.array([1.0, 1.0])),
-        )
 
 
 class TestRegistry:

@@ -36,8 +36,13 @@ def test_removed_names_are_gone():
     assert not hasattr(diagnostics, "gain_history")
     assert not hasattr(problem, "finite_difference_jacobian")
     assert not hasattr(nasolve.ConvergenceReport, "step_norms")
-    fields = [f.name for f in dataclasses.fields(nasolve.GroundTruth)]
-    assert fields == ["root", "null_vector"]
+    # ground truth had no reader outside the tests
+    for name in ("GroundTruth", "decompose_errors"):
+        assert not hasattr(nasolve, name)
+    assert not hasattr(problem, "GroundTruth")
+    assert not hasattr(diagnostics, "decompose_errors")
+    fields = [f.name for f in dataclasses.fields(nasolve.NonlinearProblem)]
+    assert "metadata" not in fields
     # safeguard facts are read from rec.decision, which is None unless a
     # safeguard ran
     for name in ("lam", "r_used", "beta"):

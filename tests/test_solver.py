@@ -1100,6 +1100,7 @@ def test_wrong_shape_residual_raises_where_returned(malform, where):
 
 MALFORMED_JACOBIANS = {
     "non_square": lambda x: np.ones((2, 3)),
+    "one_column": lambda x: np.ones((2, 1)),
     "vector": lambda x: np.ones(2),
     "scalar": lambda x: 2.0,
     "tridiagonal": lambda x: Tridiagonal(np.ones(2), np.ones(3), np.ones(2)),
