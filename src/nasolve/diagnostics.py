@@ -15,7 +15,6 @@ from .linalg import _difference_matrix, _matvec, _norm
 
 __all__ = [
     "ConvergenceReport",
-    "estimate_order",
     "step_gains",
 ]
 
@@ -40,16 +39,15 @@ class ConvergenceReport:
         return len(self.records)
 
     @property
-    def r_history(self):
-        """Adaptive safeguard parameter r per safeguarded iteration."""
-        r = [rec.decision.r_used for rec in self.records if rec.decision is not None]
-        return np.array(r)
-
-    @property
     def q_term(self):
-        """Terminal convergence-order estimate, or None when undefined."""
-        norms = [rec.step_norm for rec in self.records if rec.step_norm > 0.0]
-        return estimate_order(norms)[1]
+        """Terminal convergence order: the median of the last three (or fewer)
+        values of the history's ``q`` column, q = log(b) / log(a) for
+        consecutive step norms a, b both below 1.  None when fewer than 3 step
+        norms lie below 1 or no pair does."""
+        norms = [rec.step_norm for rec in self.records]
+        qs = [q for q in _step_orders(norms) if q is not None]
+        below = sum(norm < 1.0 for norm in norms)
+        return statistics.median(qs[-3:]) if below >= 3 and qs else None
 
 
 def _step_orders(norms):
@@ -59,27 +57,6 @@ def _step_orders(norms):
         math.log(b) / math.log(a) if 0.0 < a < 1.0 and 0.0 < b < 1.0 else None
         for a, b in zip(norms, norms[1:])
     ]
-
-
-def estimate_order(step_norms):
-    """Per-step convergence-order estimates q and the terminal order q_term.
-
-    For consecutive step norms a, b with both below 1 the estimate is
-    ``q = log(b) / log(a)``; pairs straddling 1 are skipped since the
-    log-ratio is meaningless there.  ``q_term`` is the median of the last
-    three eligible q values (fewer when the run is short), and None when
-    fewer than 3 step norms lie below 1 or no pair is eligible.  Raises
-    ValueError unless the step norms form a 1-D sequence of positive numbers.
-    """
-    norms = np.asarray(step_norms, dtype=float)
-    if norms.ndim != 1:
-        raise ValueError("step_norms must be a 1-D sequence")
-    if np.any(norms <= 0.0):
-        raise ValueError("step norms must be positive")
-    qs = [q for q in _step_orders(norms.tolist()) if q is not None]
-    below = int(np.count_nonzero(norms < 1.0))
-    q_term = statistics.median(qs[-3:]) if below >= 3 and qs else None
-    return np.asarray(qs), q_term
 
 
 def _ratio(a, b):

@@ -63,6 +63,8 @@ FORMATS = ("csv", "json")
 X0_CHOICES = ("zero", "ones", "default")
 X0_USAGE = " | ".join(X0_CHOICES + ("perturbed:IDX:VAL",))
 LINESEARCH_USAGE = "none|armijo[:C1:SHRINK:MAXBT]"
+# a larger grid runs for days; ``verify fold --step 1e-6`` has 600,001 points
+MAX_SWEEP_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,10 @@ class ExperimentSpec:
     ``x0`` selects the initial iterate: ``zero``, ``ones``, ``default``
     (the problem's documented built-in start), or ``perturbed:IDX:VAL``
     which takes the built-in start with entry IDX set to VAL.  ``sweep``
-    is an optional (parameter name, start, end, step) grid; each cell is
-    cold-started from the same initial iterate unless ``warm_start`` is
-    set, in which case cells are warm-started from the previous converged
-    solution (natural continuation).
+    is an optional (parameter name, start, end, step) grid of at most
+    MAX_SWEEP_POINTS points; each cell is cold-started from the same initial
+    iterate unless ``warm_start`` is set, in which case cells are
+    warm-started from the previous converged solution (natural continuation).
     """
 
     problem: str
@@ -93,16 +95,30 @@ class ExperimentSpec:
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.sweep is not None:
-            name, start, end, step = self.sweep
+            _, start, end, step = self.sweep
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError("sweep start and end must be finite")
             if not step > 0.0:
                 raise ValueError("sweep step must be positive")
             if not start <= end:
                 raise ValueError("sweep start must not exceed end")
-            if not math.isfinite((end - start) / step):
-                raise ValueError(f"sweep {name!r} has a non-finite point count")
+            _sweep_points(self.sweep)
         _parse_x0_selector(self.x0)
+
+
+def _sweep_points(sweep):
+    """Point count of a ``(name, start, end, step)`` grid; ValueError when it
+    is not finite or exceeds MAX_SWEEP_POINTS."""
+    name, start, end, step = sweep
+    span = (end - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"sweep {name!r} has a non-finite point count")
+    npts = int(math.floor(span + 1e-9)) + 1
+    if npts > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep {name!r} has {npts} points; at most {MAX_SWEEP_POINTS} are allowed"
+        )
+    return npts
 
 
 def _parse_x0_selector(selector):
@@ -245,8 +261,7 @@ def _cells(spec):
         yield None, dict(spec.params)
         return
     name, start, end, step = spec.sweep
-    npts = int(math.floor((end - start) / step + 1e-9)) + 1
-    for i in range(npts):
+    for i in range(_sweep_points(spec.sweep)):
         value = start + i * step
         yield value, {**spec.params, name: value}
 

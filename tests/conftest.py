@@ -73,15 +73,26 @@ def _openblas_builds():
     return builds
 
 
+def _numpy_x86_v4():
+    """Whether NumPy's AVX-512 (``X86_V4``) loops are on, such as the
+    ``np.exp`` loop that ``bratu1d`` runs; "unknown" where NumPy does not
+    say.  ``NPY_DISABLE_CPU_FEATURES`` can switch them off."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return "unknown"
+    return __cpu_features__.get("X86_V4", "unknown")
+
+
 def pytest_report_header(config):
-    """One line per OpenBLAS: the kernel family that ran the goldens."""
+    """One line per OpenBLAS, the kernel family that ran the goldens, and
+    one for NumPy's SIMD dispatch."""
     builds = _openblas_builds()
-    if not builds:
-        return "openblas: unknown (none found in /proc/self/maps)"
-    return [
+    lines = [
         f"openblas {lib}: core {core}, {threads} threads, config {cfg}"
         for lib, (core, cfg, threads) in builds.items()
-    ]
+    ] or ["openblas: unknown (none found in /proc/self/maps)"]
+    return lines + [f"numpy dispatch: X86_V4 (AVX-512) loops {_numpy_x86_v4()}"]
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +101,9 @@ def scipy_openblas_core():
     cores = [core for lib, (core, _, _) in _openblas_builds().items()
              if lib.startswith("scipy")]
     return cores[0] if cores else "unknown"
+
+
+@pytest.fixture(scope="session")
+def numpy_x86_v4():
+    """Whether NumPy's AVX-512 loops are on: True, False or "unknown"."""
+    return _numpy_x86_v4()

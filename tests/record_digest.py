@@ -3,25 +3,22 @@
 Prints one sha256 per group of solves and one over all of them.  Each solve
 contributes every field of every IterationRecord (and of its
 SafeguardDecision), the status, the iteration count and ``x_final``, or the
-type and message of the exception it raised.  Where a record does not store
-``eta``, ``theta`` and ``theta_lambda``, the values that
-``nasolve.diagnostics.step_gains`` derives take their place, in the same
-order; on a checkout whose records still hold them, the attributes are read.
-Likewise ``lam``, ``r_used`` and ``beta`` are read from the decision (None
-without one) where the record type lacks them, and a mixing step that holds
-no decision enters as ``SafeguardDecision("not_applied", 1.0)``, the
-decision such steps held on checkouts that still had those properties.
-Floats and arrays enter as their bytes and type names, so two checkouts
-print the same digests exactly when their solves agree bit for bit.  Use it to show that a refactor leaves
-every number unchanged:
+type and message of the exception it raised.  Each record enters as the 15
+values of RECORD_ATTRS: its own fields; ``eta``, ``theta`` and
+``theta_lambda`` as ``nasolve.diagnostics.step_gains`` derives them; and
+``lam``, ``r_used`` and ``beta`` read from the decision (None without one).
+A mixing step that holds no decision enters with
+``SafeguardDecision("not_applied", 1.0)`` as its decision.  Floats and
+arrays enter as their bytes and type names, so two checkouts print the same
+digests exactly when their solves agree bit for bit.  Use it to show that a
+refactor leaves every number unchanged:
 
     PYTHONPATH=src python tests/record_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tests/record_digest.py
 
-The script reads only the public API (attribute names, not tuple positions),
-so it runs unchanged on checkouts whose record layout differs.  The
-micro_2x2 starts come from ``bench/workloads.py`` of the checkout the script
-lives in.  Pytest does not collect this file; ``test_record_digest.py``
+The script reads only the public API, by attribute name.  The micro_2x2
+starts come from ``bench/workloads.py`` of the checkout the script lives
+in.  Pytest does not collect this file; ``test_record_digest.py``
 imports it and digests every group but the micro_2x2 ones, so a change to
 the API it reads shows in the test suite.
 """
@@ -44,7 +41,6 @@ import numpy as np  # noqa: E402
 import nasolve  # noqa: E402
 from nasolve import (  # noqa: E402
     ArmijoConfig,
-    IterationRecord,
     NonlinearProblem,
     SafeguardDecision,
     SolverConfig,
@@ -52,6 +48,7 @@ from nasolve import (  # noqa: E402
     make_chandrasekhar,
     make_singular_quadratic,
     solve,
+    step_gains,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -100,19 +97,15 @@ def _feed_solve(h, p, x0, cfg):
 
 def _derived(report):
     """Per record, the RECORD_ATTRS values the record type does not hold."""
-    rows = [{} for _ in report.records]
-    if DERIVED_ATTRS[0] not in IterationRecord._fields:
-        from nasolve.diagnostics import step_gains
-
-        for row, gains in zip(rows, step_gains(report)):
-            row.update(zip(DERIVED_ATTRS, gains))
-    if not hasattr(IterationRecord, "lam"):
-        for row, rec in zip(rows, report.records):
-            d = rec.decision
-            for name, field in SAFEGUARD_ATTRS.items():
-                row[name] = None if d is None else getattr(d, field)
-            if d is None and rec.gamma is not None:
-                row["decision"] = SafeguardDecision("not_applied", 1.0)
+    rows = []
+    for rec, gains in zip(report.records, step_gains(report)):
+        row = dict(zip(DERIVED_ATTRS, gains))
+        d = rec.decision
+        for name, field in SAFEGUARD_ATTRS.items():
+            row[name] = None if d is None else getattr(d, field)
+        if d is None and rec.gamma is not None:
+            row["decision"] = SafeguardDecision("not_applied", 1.0)
+        rows.append(row)
     return rows
 
 

@@ -197,7 +197,8 @@ def test_criterion_6_nonsingular_detection():
                 report = solve(p, x0, cfg)
                 assert report.status == "converged"
                 assert report.q_term is not None and report.q_term >= 1.7
-                r_hist = report.r_history
+                r_hist = [rec.decision.r_used for rec in report.records
+                          if rec.decision is not None]
                 assert len(r_hist) >= 2
                 assert r_hist[-1] <= 1e-2 * r_hat
                 tail = r_hist[-min(3, len(r_hist)):]

@@ -18,7 +18,6 @@ from nasolve import (
     NonlinearProblem,
     SolverConfig,
     anderson_gamma_1,
-    estimate_order,
     least_squares,
     make_bratu_1d,
     make_chandrasekhar,
@@ -62,11 +61,6 @@ def test_anderson_gamma_1_needs_steps_of_one_shape():
     # ddot would meet only a prefix of the longer w_next, and give 3.0
     with pytest.raises(ValueError, match=r"w_next has shape \(3,\), d has shape \(2,\)"):
         anderson_gamma_1(np.array([1.0, 5.0, 7.0]), np.ones(2), 1.0)
-
-
-def test_estimate_order_needs_a_sequence():
-    with pytest.raises(ValueError, match="1-D sequence"):
-        estimate_order([[0.5, 0.25], [0.1, 0.01]])
 
 
 def test_step_gains_rejects_a_window_longer_than_the_history():
@@ -124,6 +118,26 @@ class TestSweepPointCount:
     def test_cli_verify_fold_exits_one(self, capsys):
         assert main(["verify", "fold", "--n", "30", "--step", "1e-320"]) == 1
         assert "non-finite point count" in capsys.readouterr().err
+
+    def test_spec_rejects_a_count_above_the_bound(self):
+        # 6e11 cells: the pre-pass alone would build problems for days
+        with pytest.raises(ValueError, match="600000000001 points; at most 1000000"):
+            ExperimentSpec(problem="bratu1d", sweep=("lambda", 3.0, 3.6, 1e-12))
+        with pytest.raises(ValueError, match="1000001 points"):
+            ExperimentSpec(problem="bratu1d", sweep=("n", 0.0, 1e6, 1.0))
+        ExperimentSpec(problem="bratu1d", sweep=("n", 1.0, 1e6, 1.0))
+
+    def test_cli_sweep_above_the_bound_exits_one_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--problem", "bratu1d", "--sweep", "lambda:3:3.6:1e-12",
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sweep 'lambda' has 600000000001 points; at most 1000000 are allowed\n"
+        )
+        assert not out.exists()
 
 
 def _cli_error(tmp_path, capsys, *argv):

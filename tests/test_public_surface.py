@@ -36,6 +36,10 @@ def test_removed_names_are_gone():
     assert not hasattr(diagnostics, "gain_history")
     assert not hasattr(problem, "finite_difference_jacobian")
     assert not hasattr(nasolve.ConvergenceReport, "step_norms")
+    # q_term is the one order estimate; r is read from rec.decision
+    assert not hasattr(nasolve, "estimate_order")
+    assert not hasattr(diagnostics, "estimate_order")
+    assert not hasattr(nasolve.ConvergenceReport, "r_history")
     # ground truth had no reader outside the tests
     for name in ("GroundTruth", "decompose_errors"):
         assert not hasattr(nasolve, name)

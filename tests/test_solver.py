@@ -430,7 +430,8 @@ class TestSolve:
             p, np.zeros(100), SolverConfig(method="agna", r_hat=0.5, tol=1e-12)
         )
         assert report.status == "converged"
-        r_hist = report.r_history
+        r_hist = [rec.decision.r_used for rec in report.records
+                  if rec.decision is not None]
         assert len(r_hist) >= 3
         assert all(b < a for a, b in zip(r_hist[-3:], r_hist[-3 + 1:]))
         assert report.q_term is not None and report.q_term >= 1.7
@@ -441,7 +442,8 @@ class TestSolve:
         p = make_chandrasekhar(0.5, 100)
         report = solve(p, np.ones(100), SolverConfig(method="agna", r_hat=0.5))
         assert report.status == "converged"
-        r_hist = report.r_history
+        r_hist = [rec.decision.r_used for rec in report.records
+                  if rec.decision is not None]
         assert len(r_hist) == 2 and r_hist[1] < r_hist[0] < 1e-2
         norms = [rec.step_norm for rec in report.records if rec.step_norm < 1.0]
         assert np.log(norms[-1]) / np.log(norms[-2]) >= 1.7
