@@ -144,11 +144,10 @@ def _norm(v):
 def _dot(a, b):
     """``a @ b`` for two 1-D float arrays, on SciPy's BLAS, bitwise equal to
     NumPy's: it adds the ``ddot`` to 0.0, which turns a -0.0 sum into 0.0.
-    The caller must pass equal lengths, as nothing here checks them: ``ddot``
-    reads only a prefix of a longer ``b``.  The entry points that take outside
-    vectors check shapes first: ``solve``, ``anderson_gamma_1``,
-    ``least_squares``, ``solve_linear``, and ``make_chandrasekhar``'s
-    residual and Jacobian."""
+    Raises ValueError unless ``a`` and ``b`` have one shape, as ``ddot``
+    would read only a prefix of the longer one."""
+    if a.shape != b.shape:
+        raise ValueError(f"dot product of shapes {a.shape} and {b.shape}")
     return 0.0 + blas.ddot(a, b)
 
 
@@ -157,9 +156,11 @@ def _matvec(M, v):
     transpose of a Fortran-contiguous one), summed as NumPy's matmul sums it:
     one row as a dot product, any other shape but one column as ``dgemv_t``
     over the rows.  One column is left to NumPy, which runs no BLAS there.
-    As for ``_dot``, the caller must pass ``len(v) == M.shape[1]``: ``dgemv``
-    reads only a prefix of a longer ``v``."""
+    Raises ValueError unless ``v`` has shape ``(M.shape[1],)``, as ``dgemv``
+    would read only a prefix of a longer ``v``."""
     rows, cols = M.shape
+    if v.shape != (cols,):
+        raise ValueError(f"expected a vector of length {cols}, got shape {v.shape}")
     if rows == 1:
         return np.array([_dot(M[0], v)])
     if cols == 1:

@@ -132,19 +132,13 @@ def make_chandrasekhar(c, n):
     A = np.add.outer(mu, mu)
     np.divide((c / (2.0 * n)) * mu[:, None], A, out=A)
 
-    def A_times(H):
-        """``A @ H`` for a float vector H: ``dgemv_t`` on the view ``A.T``."""
-        if H.shape != (n,):
-            raise ValueError(f"expected a vector of length {n}, got shape {H.shape}")
-        return _matvec(A, H)
-
     def residual(H):
         H = np.asarray(H, dtype=float)
-        return H - 1.0 / (1.0 - A_times(H))
+        return H - 1.0 / (1.0 - _matvec(A, H))
 
     def jacobian(H):
         H = np.asarray(H, dtype=float)
-        d = 1.0 / (1.0 - A_times(H))
+        d = 1.0 / (1.0 - _matvec(A, H))
         # I - diag(d^2) A, written as its transpose into a C-ordered buffer so
         # that J is Fortran-ordered and LU-factored in place.  Entry for entry
         # -(d_i^2 A_ij), so a product that underflows to 0 gives -0.0.

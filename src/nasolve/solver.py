@@ -185,15 +185,11 @@ def anderson_gamma_1(w_next, d, scale):
 
     This is the unconstrained minimizer of |w_next - gamma*d| over float
     arrays.  ``scale`` is |w_next| + |w_prev|: when |d| <= eps * scale (steps
-    equal to machine precision) the coefficient is defined as 0, i.e. a pure
-    Newton step.  Raises ValueError unless w_next and d have one shape.
+    equal to machine precision) it is defined as 0, a pure Newton step.
+    Raises ValueError unless w_next and d have one shape, whatever |d| is.
     """
-    if w_next.shape != d.shape:
-        raise ValueError(f"w_next has shape {w_next.shape}, d has shape {d.shape}")
-    dd = _dot(d, d)
-    if math.sqrt(dd) <= _EPS * scale:
-        return 0.0
-    return _dot(d, w_next) / dd
+    dd, dw = _dot(d, d), _dot(d, w_next)
+    return 0.0 if math.sqrt(dd) <= _EPS * scale else dw / dd
 
 
 def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
@@ -201,10 +197,14 @@ def na_update(x_k, x_km1, w_next, w_prev, gamma, lam):
 
     Returns ``x_k + w_next - lam*gamma*((x_k + w_next) - (x_km1 + w_prev))``
     for float arrays.  The algebraic form guarantees that lam*gamma == 0
-    reproduces the Newton iterate x_k + w_next bitwise.
+    reproduces the Newton iterate x_k + w_next bitwise.  Raises ValueError
+    unless the four arrays have one shape, so that none is broadcast.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if not x_k.shape == x_km1.shape == w_next.shape == w_prev.shape:
+        shapes = (x_k.shape, x_km1.shape, w_next.shape, w_prev.shape)
+        raise ValueError(f"x_k, x_km1, w_next and w_prev have shapes {shapes}")
     xn = x_k + w_next
     return xn - (lam * gamma) * (xn - (x_km1 + w_prev))
 
@@ -220,11 +220,15 @@ def na_m_update(iterates, steps, m):
     E (iterates) are assembled newest-first, gamma solves the least-squares
     problem min |w_{k+1} - F gamma|, and the update is
     x_k + w_{k+1} - (E + F) gamma.  Returns ``(next iterate, gamma vector)``.
+    Raises ValueError unless every iterate and step has one shape.
     """
     _check_count("depth m", m)
     if len(steps) < 2 or len(iterates) < 2:
         raise ValueError("need at least one prior iterate and step")
     w_next = steps[-1]
+    for v in (*iterates, *steps):
+        if v.shape != w_next.shape:
+            raise ValueError(f"iterate or step of shape {v.shape}, not {w_next.shape}")
     m_k = min(m, len(steps) - 1, len(iterates) - 1, len(w_next))
     F = _difference_matrix(steps, m_k)
     E = _difference_matrix(iterates, m_k)

@@ -95,15 +95,25 @@ def pytest_report_header(config):
     return lines + [f"numpy dispatch: X86_V4 (AVX-512) loops {_numpy_x86_v4()}"]
 
 
+AVX512_CORES = ("SkylakeX", "Cooperlake", "SapphireRapids")
+
+
 @pytest.fixture(scope="session")
-def scipy_openblas_core():
-    """The kernel family of SciPy's OpenBLAS, which every solve runs on."""
+def pinned_machine_class():
+    """Skip, naming the cause, unless this process runs the machine class
+    that the exact figures of the digest pin and the iteration gate were
+    taken on: SciPy's OpenBLAS on AVX-512 kernels, which every solve runs
+    on, and NumPy's AVX-512 (``X86_V4``) loops, such as ``bratu1d``'s
+    ``np.exp``.  Other classes move the bits, and with them an iteration
+    count (ROADMAP.md, item 1)."""
     cores = [core for lib, (core, _, _) in _openblas_builds().items()
              if lib.startswith("scipy")]
-    return cores[0] if cores else "unknown"
-
-
-@pytest.fixture(scope="session")
-def numpy_x86_v4():
-    """Whether NumPy's AVX-512 loops are on: True, False or "unknown"."""
-    return _numpy_x86_v4()
+    core = cores[0] if cores else "unknown"
+    if core not in AVX512_CORES:
+        pytest.skip(f"pinned on AVX-512 kernels; SciPy's OpenBLAS runs {core}")
+    x86_v4 = _numpy_x86_v4()
+    if x86_v4 is not True:
+        pytest.skip(
+            f"pinned on NumPy's X86_V4 (AVX-512) loops; NumPy's dispatch "
+            f"reports X86_V4 {x86_v4}"
+        )

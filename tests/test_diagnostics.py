@@ -124,7 +124,7 @@ class TestGainHistory:
 
 
 class TestReportProperties:
-    def test_r_history_and_q_term(self):
+    def test_r_used_decays_and_q_term_is_superlinear(self):
         p = make_chandrasekhar(0.5, 100)
         report = solve(p, np.zeros(100), SolverConfig(method="agna", r_hat=0.1,
                                                       tol=1e-12))

@@ -22,6 +22,8 @@ from nasolve import (
     make_bratu_1d,
     make_chandrasekhar,
     make_singular_quadratic,
+    na_m_update,
+    na_update,
     problem_from_id,
     solve,
     step_gains,
@@ -58,9 +60,29 @@ def test_least_squares_needs_a_matrix():
 
 
 def test_anderson_gamma_1_needs_steps_of_one_shape():
-    # ddot would meet only a prefix of the longer w_next, and give 3.0
-    with pytest.raises(ValueError, match=r"w_next has shape \(3,\), d has shape \(2,\)"):
-        anderson_gamma_1(np.array([1.0, 5.0, 7.0]), np.ones(2), 1.0)
+    # ddot would meet only a prefix of the longer w_next, and give 3.0; a d
+    # of norm 0, where the coefficient is 0, is rejected all the same
+    for d in (np.ones(2), np.zeros(2)):
+        with pytest.raises(ValueError, match=r"shapes \(2,\) and \(3,\)"):
+            anderson_gamma_1(np.array([1.0, 5.0, 7.0]), d, 1.0)
+
+
+@pytest.mark.parametrize("short", range(4))
+def test_na_update_needs_arrays_of_one_shape(short):
+    # a length-1 x_k, x_km1, w_next or w_prev would broadcast to length 2
+    arrays = [np.ones(2)] * 4
+    arrays[short] = np.ones(1)
+    with pytest.raises(ValueError, match=r"have shapes \(.*\(1,\)"):
+        na_update(*arrays, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("history, index", [("iterates", 0), ("iterates", 1), ("steps", 0)])
+def test_na_m_update_needs_vectors_of_one_shape(history, index):
+    # a length-1 vector would broadcast to length 2 in a difference or a sum
+    vectors = {"iterates": [np.ones(2), np.ones(2)], "steps": [np.ones(2), 2 * np.ones(2)]}
+    vectors[history][index] = np.ones(1)
+    with pytest.raises(ValueError, match=r"of shape \(1,\), not \(2,\)"):
+        na_m_update(vectors["iterates"], vectors["steps"], 1)
 
 
 def test_step_gains_rejects_a_window_longer_than_the_history():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nasolve import SingularMatrix, Tridiagonal, least_squares, solve_linear
-from nasolve.linalg import _RANK_TOL, NonFiniteInput, _all_finite
+from nasolve.linalg import _RANK_TOL, NonFiniteInput, _all_finite, _dot, _matvec
 
 
 class TestSolveLinear:
@@ -492,3 +492,25 @@ def test_finite_screen_equals_isfinite(v, stride):
     # the screen behind solve_linear's checks and solve's x and dx tests
     view = v[::stride]
     assert _all_finite(view) is bool(np.isfinite(view).all())
+
+
+class TestProductLengths:
+    """SciPy's ``ddot`` and ``dgemv`` read only a prefix of a longer vector,
+    so each product helper checks its lengths itself."""
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(2), np.array([1.0, 2.0, 3.0])),
+        (np.ones(3), np.ones(2)),
+        (np.ones(2), np.ones((2, 1))),
+    ])
+    def test_dot_rejects_vectors_of_two_shapes(self, a, b):
+        with pytest.raises(ValueError, match="dot product of shapes"):
+            _dot(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
+    def test_matvec_rejects_a_vector_of_the_wrong_length(self, shape):
+        M = np.ones(shape)
+        cols = shape[1]
+        for v in (np.ones(cols - 1), np.ones(cols + 1), np.ones((cols, 1))):
+            with pytest.raises(ValueError, match=f"expected a vector of length {cols}"):
+                _matvec(M, v)

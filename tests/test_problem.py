@@ -30,7 +30,7 @@ class TestSingularQuadratic:
             p.jacobian(np.array([1.0, 1.0])), [[2.0, 0.0], [0.0, 1.0]]
         )
 
-    def test_ground_truth(self):
+    def test_root_and_null_direction(self):
         # the root 0, and (1, 0) spans the Jacobian's null space there
         p = make_singular_quadratic()
         np.testing.assert_array_equal(p.residual(np.zeros(2)), [0.0, 0.0])

@@ -17,11 +17,12 @@ from unittest import mock
 
 import pytest
 
-# The groups whose dense solves all stay below n = 144, from where the BLAS
-# thread count changes the bits of an LU (ROADMAP.md, item 1), as
-# ``PYTHONPATH=src python tests/record_digest.py`` prints them on SkylakeX
-# kernels.  "chandrasekhar c=1 n=300" is left out: under pytest nasolve runs
-# at the default thread count, not the script's one thread.
+# The groups whose dense solves all stay below n = 142, from where the BLAS
+# thread count can change the bits of an LU, and whose vectors stay within
+# the 10,000 entries above which it changes those of a ``ddot`` (ROADMAP.md,
+# item 1), as ``PYTHONPATH=src python tests/record_digest.py`` prints them on
+# SkylakeX kernels.  "chandrasekhar c=1 n=300" is left out: under pytest
+# nasolve runs at the default thread count, not the script's one thread.
 PINNED = {
     "3 problems x 14 configs":
         "5254c145890c22a92163537dd2ba062bf712e500691b14faff6f35012fecd212",
@@ -34,7 +35,6 @@ PINNED = {
     "linesearch edge directions":
         "47ec76863208cd583f041d33b513640075b9280bc7563edf1415a8d8bdb008dd",
 }
-AVX512_CORES = ("SkylakeX", "Cooperlake", "SapphireRapids")
 
 
 def _load_record_digest():
@@ -86,18 +86,6 @@ def test_record_digest_builds_and_digests_its_groups(digested):
     assert raised == []
 
 
-def test_thread_count_independent_groups_keep_their_digests(
-    digested, scipy_openblas_core, numpy_x86_v4
-):
-    if scipy_openblas_core not in AVX512_CORES:
-        pytest.skip(
-            f"digests pinned on AVX-512 kernels; SciPy's OpenBLAS runs {scipy_openblas_core}"
-        )
-    if numpy_x86_v4 is not True:
-        # bratu1d's np.exp gives other bits on NumPy's AVX2 loop
-        pytest.skip(
-            f"digests pinned on NumPy's X86_V4 (AVX-512) loops; NumPy's dispatch "
-            f"reports X86_V4 {numpy_x86_v4}"
-        )
+def test_thread_count_independent_groups_keep_their_digests(digested, pinned_machine_class):
     _, digests, _ = digested
     assert {name: digests[name] for name in PINNED} == PINNED

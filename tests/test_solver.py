@@ -436,7 +436,7 @@ class TestSolve:
         assert all(b < a for a, b in zip(r_hist[-3:], r_hist[-3 + 1:]))
         assert report.q_term is not None and report.q_term >= 1.7
 
-    def test_agna_from_ones_r_history_decays(self):
+    def test_agna_from_ones_r_used_decays(self):
         # all-ones starts so close to the c=0.5 solution that only two
         # safeguarded steps occur; both still show the adaptive decay
         p = make_chandrasekhar(0.5, 100)
