@@ -256,14 +256,14 @@ def emit_history(report, fmt="csv"):
 
 
 def _cells(spec):
-    """Yield ``(sweep value, problem parameters)`` for each sweep cell, in order."""
+    """Yield ``(sweep value, problem)`` for each sweep cell, in order."""
     if spec.sweep is None:
-        yield None, dict(spec.params)
+        yield None, problem_from_id(spec.problem, spec.params)
         return
     name, start, end, step = spec.sweep
     for i in range(_sweep_points(spec.sweep)):
         value = start + i * step
-        yield value, {**spec.params, name: value}
+        yield value, problem_from_id(spec.problem, {**spec.params, name: value})
 
 
 def _cell_reports(spec):
@@ -272,10 +272,9 @@ def _cell_reports(spec):
     Yields ``(i, value, j, cfg, report)`` for sweep cell i and config j.
     """
     warm = {}
-    for i, (value, params) in enumerate(_cells(spec)):
-        problem = problem_from_id(spec.problem, params)
+    for i, (value, problem) in enumerate(_cells(spec)):
         for j, cfg in enumerate(spec.configs):
-            x0 = warm.get(j) if spec.warm_start else None
+            x0 = warm.get(j)
             if x0 is None:
                 x0 = initial_iterate(problem, spec.x0)
             report = solve(problem, x0, cfg)
@@ -299,8 +298,8 @@ def run_experiment(spec):
     Returns ``(exit_code, written_paths)`` with exit code 0 on success and
     2 when no cell converged.
     """
-    for _, params in _cells(spec):
-        initial_iterate(problem_from_id(spec.problem, params), spec.x0)
+    for _, problem in _cells(spec):
+        initial_iterate(problem, spec.x0)
     outdir = Path(spec.output)
     outdir.mkdir(parents=True, exist_ok=True)
     ext = spec.fmt

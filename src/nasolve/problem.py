@@ -52,24 +52,24 @@ class NonlinearProblem:
     that n-by-n copy.
 
     ``default_start`` is the documented initial iterate used when callers
-    (for example the CLI) do not provide one.
+    (for example the CLI) do not provide one; its length is ``dimension``.
     """
 
-    name: str
-    dimension: int
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray | Tridiagonal]
     default_start: np.ndarray
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
         if not callable(self.jacobian):
             raise ValueError("a Jacobian is required: jacobian must be callable")
         start = np.asarray(self.default_start, dtype=float)
-        if start.shape != (self.dimension,):
-            raise ValueError("default_start length does not match dimension")
+        if start.ndim != 1 or not start.size:
+            raise ValueError(f"default_start of shape {start.shape} is not a non-empty vector")
         object.__setattr__(self, "default_start", start)
+
+    @property
+    def dimension(self):
+        return len(self.default_start)
 
 
 def make_singular_quadratic():
@@ -89,8 +89,6 @@ def make_singular_quadratic():
         return np.array([[2.0 * x[0], 0.0], [0.0, 1.0]], order="F")
 
     return NonlinearProblem(
-        name="singular_quadratic",
-        dimension=2,
         residual=residual,
         jacobian=jacobian,
         default_start=np.array([1.0, 1.0]),
@@ -147,8 +145,6 @@ def make_chandrasekhar(c, n):
         return Jt.T
 
     return NonlinearProblem(
-        name="chandrasekhar",
-        dimension=n,
         residual=residual,
         jacobian=jacobian,
         default_start=np.ones(n),
@@ -187,8 +183,6 @@ def make_bratu_1d(lam, n):
         return Tridiagonal(off, -2.0 / h2 + lam * np.exp(u), off)
 
     return NonlinearProblem(
-        name="bratu1d",
-        dimension=n,
         residual=residual,
         jacobian=jacobian,
         default_start=np.zeros(n),

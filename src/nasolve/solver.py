@@ -148,12 +148,12 @@ class SafeguardDecision(NamedTuple):
 
     An immutable named tuple: fields are read by name, assigning one raises
     ``AttributeError``, and an instance holds no ``__dict__``.
-    ``gamma_safeguard`` builds every decision.
+    ``gamma_safeguard`` builds every decision; ``diagnostics.step_gains``
+    reports the step ratio eta.
     """
 
     case: str
     lambda_value: float
-    eta: float | None = None
     r_used: float | None = None
     beta: float | None = None
 
@@ -260,7 +260,7 @@ def gamma_safeguard(gamma, eta, r):
         case, lam = "ratio_exceeded", min(beta / (gamma * (beta + sign)), 1.0)
     else:
         case, lam = "pass_through", 1.0
-    return SafeguardDecision(case, lam, eta, r, beta)
+    return SafeguardDecision(case, lam, r, beta)
 
 
 def adaptive_gamma_safeguard(gamma, eta, r_hat):
@@ -350,7 +350,6 @@ def solve(p, x0, cfg):
     else:
         latch_below = math.inf
     latched = latch_below == math.inf
-    k = 0
     f = None  # f(x), unless still to be evaluated
 
     # A diverging iterate overflows; the non-finite values that result end
@@ -367,7 +366,7 @@ def solve(p, x0, cfg):
             if rnorm <= cfg.tol:
                 status = "converged"
                 break
-            if k >= cfg.max_iter:
+            if len(records) >= cfg.max_iter:
                 status = "max_iter"
                 break
             J = p.jacobian(x)
@@ -401,7 +400,7 @@ def solve(p, x0, cfg):
                 latched = True
 
             gamma = decision = None
-            if k == 0 or cfg.method == "newton":
+            if not records or cfg.method == "newton":
                 x_next = x + w
             elif cfg.m > 1 and not latched:  # na; gna/agna have m = 1
                 x_next = None
@@ -445,9 +444,8 @@ def solve(p, x0, cfg):
                     pass
 
             records.append(IterationRecord(
-                k, x, w, rnorm, step_norm, gamma, decision, ls_t, ls_ok
+                len(records), x, w, rnorm, step_norm, gamma, decision, ls_t, ls_ok
             ))
             x, f = x_next, f_next
-            k += 1
 
     return ConvergenceReport(records=tuple(records), status=status, x_final=x)

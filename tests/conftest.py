@@ -7,12 +7,13 @@ import pytest
 DECISION_CASES = ("gamma_zero_or_ge_one", "ratio_exceeded", "pass_through")
 
 
-def _check_decision(dec):
+def _check_decision(dec, eta):
     """Assert the invariant of a ``SafeguardDecision`` that ``solve`` built.
 
     The case is one of the three; lambda lies in [0, 1], is 0 for
     ``gamma_zero_or_ge_one`` and 1 for ``pass_through``; the gate is
-    ``beta = r_used * eta`` to the bit.  A record without a decision is
+    ``beta = r_used * eta`` to the bit, for the step ratio ``eta`` that
+    ``step_gains`` reports for the record.  A record without a decision is
     not passed here.
     """
     assert dec.case in DECISION_CASES, dec
@@ -21,7 +22,7 @@ def _check_decision(dec):
         assert dec.lambda_value == 0.0, dec
     elif dec.case == "pass_through":
         assert dec.lambda_value == 1.0, dec
-    gate = dec.r_used * dec.eta
+    gate = dec.r_used * eta
     assert struct.pack("<d", dec.beta) == struct.pack("<d", gate), dec
 
 

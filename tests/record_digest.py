@@ -7,8 +7,10 @@ type and message of the exception it raised.  Each record enters as the 15
 values of RECORD_ATTRS: its own fields; ``eta``, ``theta`` and
 ``theta_lambda`` as ``nasolve.diagnostics.step_gains`` derives them; and
 ``lam``, ``r_used`` and ``beta`` read from the decision (None without one).
-A mixing step that holds no decision enters with
-``SafeguardDecision("not_applied", 1.0)`` as its decision.  Floats and
+A decision enters as the five values of DECISION_ATTRS: its four fields
+and the record's ``eta`` from ``step_gains``.  A mixing step that holds no
+decision enters with the decision ``("not_applied", 1.0, None, None,
+None)``.  Both enter under the type name ``SafeguardDecision``.  Floats and
 arrays enter as their bytes and type names, so two checkouts print the same
 digests exactly when their solves agree bit for bit.  Use it to show that a
 refactor leaves every number unchanged:
@@ -29,6 +31,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import collections  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import struct  # noqa: E402
@@ -42,7 +45,6 @@ import nasolve  # noqa: E402
 from nasolve import (  # noqa: E402
     ArmijoConfig,
     NonlinearProblem,
-    SafeguardDecision,
     SolverConfig,
     make_bratu_1d,
     make_chandrasekhar,
@@ -62,6 +64,10 @@ DECISION_ATTRS = ("case", "lambda_value", "eta", "r_used", "beta")
 DERIVED_ATTRS = ("eta", "theta", "theta_lambda")
 # record attribute -> the decision field it is read from
 SAFEGUARD_ATTRS = {"lam": "lambda_value", "r_used": "r_used", "beta": "beta"}
+# a decision as digested: its fields with the step ratio eta among them
+DigestedDecision = collections.namedtuple(
+    "SafeguardDecision", DECISION_ATTRS, defaults=(None, None, None)
+)
 
 
 def _feed(h, value):
@@ -103,8 +109,12 @@ def _derived(report):
         d = rec.decision
         for name, field in SAFEGUARD_ATTRS.items():
             row[name] = None if d is None else getattr(d, field)
-        if d is None and rec.gamma is not None:
-            row["decision"] = SafeguardDecision("not_applied", 1.0)
+        if d is not None:
+            row["decision"] = DigestedDecision(
+                d.case, d.lambda_value, row["eta"], d.r_used, d.beta
+            )
+        elif rec.gamma is not None:
+            row["decision"] = DigestedDecision("not_applied", 1.0)
         rows.append(row)
     return rows
 
@@ -132,16 +142,14 @@ def _overflow_problems():
     big = 1.5e308
     return (
         NonlinearProblem(
-            "overflow_step", 1, lambda x: np.array([1e150]),
+            lambda x: np.array([1e150]),
             lambda x: np.array([[1e-200]]), np.zeros(1),
         ),
         NonlinearProblem(
-            "overflow_mixed_step", 1,
             lambda x: np.array([1.0 if x[0] == 1.0 else 1e150]),
             lambda x: np.array([[1.0 if x[0] == 1.0 else 1e-200]]), np.ones(1),
         ),
         NonlinearProblem(
-            "overflow_difference", 1,
             lambda x: np.array([-big if x[0] == 0.0 else big]),
             lambda x: np.eye(1), np.zeros(1),
         ),
@@ -163,9 +171,7 @@ def _overflow_window_problem():
     def jacobian(x):
         return 1e-158 * np.eye(2) if x[0] in (0.0, big) else np.eye(2)
 
-    return NonlinearProblem(
-        "overflow_window", 2, residual, jacobian, np.array([0.0, 1.0])
-    )
+    return NonlinearProblem(residual, jacobian, np.array([0.0, 1.0]))
 
 
 EDGE_METHODS = (
@@ -182,12 +188,12 @@ def _linesearch_edge_jobs():
     apart: a step lost to rounding (x + w == x, a zero direction), steps
     that overflow, and searches that use up ``max_backtracks``."""
     lost = NonlinearProblem(
-        "lost_step", 1, lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
+        lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
         np.array([1e20]),
     )
     # Newton overshoots arctan from 10; t = 1/8 is the first accepted step
     arctan = NonlinearProblem(
-        "arctan", 1, np.arctan, lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        np.arctan, lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
         np.array([10.0]),
     )
     ls, short = ArmijoConfig(), ArmijoConfig(max_backtracks=3)

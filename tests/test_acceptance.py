@@ -78,7 +78,7 @@ def matrix_reports():
     reports = []
     for p, x0 in matrix_problems():
         for cfg in matrix_configs():
-            reports.append((p.name, cfg, solve(p, x0, cfg)))
+            reports.append((p, cfg, solve(p, x0, cfg)))
     return reports
 
 
@@ -164,7 +164,10 @@ def test_criterion_4_singular_linear_rate():
 def test_criterion_5_acceleration_on_singular_problems():
     desc = "NA(1) and agna(0.5) beat Newton on both singular problems"
     with criterion(5, desc):
-        for p in (make_singular_quadratic(), make_chandrasekhar(1.0, 100)):
+        for name, p in (
+            ("singular_quadratic", make_singular_quadratic()),
+            ("chandrasekhar", make_chandrasekhar(1.0, 100)),
+        ):
             counts = {}
             for method, kwargs in (
                 ("newton", {}),
@@ -175,7 +178,7 @@ def test_criterion_5_acceleration_on_singular_problems():
                 report = solve(p, p.default_start, cfg)
                 assert report.status == "converged"
                 counts[method] = report.iterations
-            print(f"  {p.name}: {counts}")
+            print(f"  {name}: {counts}")
             assert counts["na"] < counts["newton"]
             assert counts["agna"] < counts["newton"]
 
@@ -185,12 +188,12 @@ def test_criterion_6_nonsingular_detection():
     with criterion(6, desc):
         x = np.arange(1, 101) / 101.0
         cases = [
-            (make_chandrasekhar(0.5, 100), np.zeros(100), 1e-12),
-            (make_bratu_1d(1.0, 100), -3.0 * np.sin(np.pi * x), 1e-11),
+            ("chandrasekhar", make_chandrasekhar(0.5, 100), np.zeros(100), 1e-12),
+            ("bratu1d", make_bratu_1d(1.0, 100), -3.0 * np.sin(np.pi * x), 1e-11),
         ]
-        for p, x0, tol in cases:
+        for name, p, x0, tol in cases:
             na_rep = solve(p, x0, SolverConfig(method="na", m=1, tol=tol))
-            print(f"  {p.name}: NA(1) q_term={na_rep.q_term} (recorded, not asserted)")
+            print(f"  {name}: NA(1) q_term={na_rep.q_term} (recorded, not asserted)")
             # every eta is below 0.1, so r_hat binds only at 0.01
             for r_hat in (0.01, 0.1, 0.5, 0.9):
                 cfg = SolverConfig(method="agna", r_hat=r_hat, tol=tol)
@@ -204,7 +207,7 @@ def test_criterion_6_nonsingular_detection():
                 tail = r_hist[-min(3, len(r_hist)):]
                 assert all(b < a for a, b in zip(tail, tail[1:]))
                 if r_hat == 0.01:
-                    print(f"  {p.name}: r_hat=0.01 q_term={report.q_term}")
+                    print(f"  {name}: r_hat=0.01 q_term={report.q_term}")
                     assert any(r == r_hat for r in r_hist)
 
 
@@ -399,9 +402,9 @@ def test_criterion_12_safeguard_rate_on_singular_problems():
         ]
         # faster than Newton's 1/2 for every r_hat
         assert all(rate < 0.5 for cfg, rate in cases if cfg.method == "agna")
-        problems = [make_singular_quadratic()]
-        problems += [make_chandrasekhar(1.0, n) for n in (20, 100, 400)]
-        for p in problems:
+        problems = [("singular_quadratic", make_singular_quadratic())]
+        problems += [("chandrasekhar", make_chandrasekhar(1.0, n)) for n in (20, 100, 400)]
+        for name, p in problems:
             worst = 0.0
             for cfg, rate in cases:
                 report = solve(p, p.default_start, cfg)
@@ -410,4 +413,4 @@ def test_criterion_12_safeguard_rate_on_singular_problems():
                 deviation = np.abs((sn[1:] / sn[:-1])[-3:] - rate)
                 assert len(deviation) == 3 and np.all(deviation <= 1e-3)
                 worst = max(worst, float(deviation.max()))
-            print(f"  {p.name} n={p.dimension}: worst tail deviation {worst:.1e}")
+            print(f"  {name} n={p.dimension}: worst tail deviation {worst:.1e}")

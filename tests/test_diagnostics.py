@@ -26,7 +26,7 @@ def _report(step_norms):
     return ConvergenceReport(records, "max_iter")
 
 
-class TestEstimateOrder:
+class TestQTerm:
     """The per-pair q = log(b) / log(a) of ``_step_orders`` and ``q_term``."""
 
     def test_exact_quadratic_sequence(self):
@@ -87,7 +87,7 @@ def test_q_term_is_the_median_of_the_last_three_q_cells(step_norms):
         assert report.q_term is None
 
 
-class TestGainHistory:
+class TestStepGains:
     def test_na_gains_bounded_and_dominated(self):
         p = make_chandrasekhar(1.0, 50)
         for cfg in (SolverConfig(method="na", m=1),
@@ -104,9 +104,7 @@ class TestGainHistory:
         # a gamma_zero_or_ge_one decision means lambda*gamma = 0: theta_lambda = 1
         p = make_chandrasekhar(1.0, 50)
         # f = exp has no root: every Newton step is -1, so gamma = 0
-        exp = NonlinearProblem(
-            "exp", 1, np.exp, lambda x: np.exp(x)[:, None], np.zeros(1)
-        )
+        exp = NonlinearProblem(np.exp, lambda x: np.exp(x)[:, None], np.zeros(1))
         cfg = SolverConfig(method="agna", r_hat=0.5)
         reports = (
             solve(p, np.ones(50), cfg),

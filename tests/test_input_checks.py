@@ -38,13 +38,22 @@ def _quadratic(**fields):
 
 
 class TestNonlinearProblem:
+    # the dimension is the length of default_start, a non-empty vector
     def test_dimension_below_one(self):
-        with pytest.raises(ValueError, match="dimension must be a positive integer"):
-            _quadratic(dimension=0, default_start=np.zeros(0))
+        with pytest.raises(ValueError, match=r"\(0,\) is not a non-empty vector"):
+            _quadratic(default_start=np.zeros(0))
 
     def test_default_start_of_wrong_length(self):
-        with pytest.raises(ValueError, match="default_start length"):
-            _quadratic(default_start=np.ones(3))
+        with pytest.raises(ValueError, match=r"\(2, 1\) is not a non-empty vector"):
+            _quadratic(default_start=np.ones((2, 1)))
+
+    def test_dimension_follows_the_start(self):
+        p = _quadratic(default_start=np.ones(3))
+        assert p.dimension == 3
+        # the residual of singular_quadratic has length 2 whatever the start
+        message = r"residual returned shape \(2,\), expected \(3,\)"
+        with pytest.raises(ValueError, match=message):
+            solve(p, p.default_start, SolverConfig())
 
 
 @pytest.mark.parametrize("name", ["c1", "shrink"])
@@ -97,7 +106,7 @@ def test_step_gains_rejects_a_window_longer_than_the_history():
 
 
 def _scalar_problem(residual, jacobian):
-    return NonlinearProblem("scalar", 1, residual, jacobian, np.zeros(1))
+    return NonlinearProblem(residual, jacobian, np.zeros(1))
 
 
 def test_solve_reraises_the_linear_solver_error_on_a_square_jacobian():

@@ -1,5 +1,6 @@
 """The package's public names: each stated once, in its module's ``__all__``;
-and ``nasolve.linalg`` as the one module that computes a product.
+each field of an input type read by the package; and ``nasolve.linalg`` as
+the one module that computes a product.
 
 Needs only pytest, so it also runs against the oldest supported NumPy and
 SciPy.
@@ -45,8 +46,12 @@ def test_removed_names_are_gone():
         assert not hasattr(nasolve, name)
     assert not hasattr(problem, "GroundTruth")
     assert not hasattr(diagnostics, "decompose_errors")
+    # a problem is its residual, Jacobian and start; the dimension is the
+    # start's length
     fields = [f.name for f in dataclasses.fields(nasolve.NonlinearProblem)]
-    assert "metadata" not in fields
+    assert fields == ["residual", "jacobian", "default_start"]
+    # a decision's step ratio eta is read from step_gains
+    assert nasolve.SafeguardDecision._fields == ("case", "lambda_value", "r_used", "beta")
     # safeguard facts are read from rec.decision, which is None unless a
     # safeguard ran
     for name in ("lam", "r_used", "beta"):
@@ -67,12 +72,44 @@ def test_jacobian_is_required():
     p = nasolve.make_singular_quadratic()
     with pytest.raises(ValueError, match="a Jacobian is required"):
         nasolve.NonlinearProblem(
-            name="no_jacobian",
-            dimension=2,
             residual=p.residual,
             jacobian=None,
             default_start=p.default_start,
         )
+
+
+SOURCES = sorted(Path(nasolve.__file__).parent.glob("*.py"))
+# the fields of these are set by the caller; those of the output types
+# (records, decisions, report) are for the caller to read
+INPUT_TYPES = (
+    problem.NonlinearProblem,
+    solver.SolverConfig,
+    solver.ArmijoConfig,
+    harness.ExperimentSpec,
+    linalg.Tridiagonal,
+)
+
+
+@pytest.mark.parametrize("cls", INPUT_TYPES, ids=lambda cls: cls.__name__)
+def test_every_input_field_is_read_by_the_package(cls):
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        own = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.ClassDef) and top.name == cls.__name__
+            for node in ast.walk(top)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in own
+        }
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    assert unread == []
 
 
 def _product_sites(tree):
@@ -103,7 +140,7 @@ def test_only_linalg_binds_blas_and_computes_products():
         assert not hasattr(module, "lapack"), module.__name__
     found = [
         (path.name, *site)
-        for path in sorted(Path(nasolve.__file__).parent.glob("*.py"))
+        for path in SOURCES
         if path.name != "linalg.py"
         for site in _product_sites(ast.parse(path.read_text(), str(path)))
     ]

@@ -60,7 +60,7 @@ def digested():
         try:
             return original(p, x0, cfg)
         except Exception as exc:
-            raised.append((p.name, cfg, exc))
+            raised.append((p, cfg, exc))
             raise
 
     digests = {}

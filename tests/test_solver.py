@@ -220,7 +220,7 @@ class TestGammaSafeguard:
         assert beta / (gamma * (beta + 1.0)) > 1.0
         dec = gamma_safeguard(gamma, eta=2.0 * beta, r=0.5)
         assert (dec.case, dec.lambda_value, dec.beta) == ("ratio_exceeded", 1.0, beta)
-        check_decision(dec)
+        check_decision(dec, 2.0 * beta)
 
     def test_pass_through(self):
         dec = gamma_safeguard(gamma=0.1, eta=1.0, r=0.5)
@@ -246,13 +246,11 @@ class TestGammaSafeguard:
 class TestAdaptiveGammaSafeguard:
     def test_eta_below_cap(self):
         dec = adaptive_gamma_safeguard(gamma=0.01, eta=0.2, r_hat=0.9)
-        assert dec.eta == pytest.approx(0.2, abs=1e-15)
         assert dec.r_used == pytest.approx(0.2, abs=1e-15)
         assert dec.beta == pytest.approx(0.04, abs=1e-15)
 
     def test_eta_above_one_records_beta_as_is(self):
         dec = adaptive_gamma_safeguard(gamma=-0.3, eta=2.0, r_hat=0.5)
-        assert dec.eta == pytest.approx(2.0, abs=1e-15)
         assert dec.r_used == 0.5
         assert dec.beta == pytest.approx(1.0, abs=1e-15)
 
@@ -282,8 +280,6 @@ class TestArmijoBacktrack:
         A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         b = rng.standard_normal(4)
         p = NonlinearProblem(
-            name="linear",
-            dimension=4,
             residual=lambda x: A @ x - b,
             jacobian=lambda x: A,
             default_start=np.zeros(4),
@@ -304,8 +300,6 @@ class TestArmijoBacktrack:
             return np.array([x[0] ** 2])
 
         p = NonlinearProblem(
-            name="square",
-            dimension=1,
             residual=residual,
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             default_start=np.ones(1),
@@ -340,15 +334,13 @@ class TestArmijoBacktrack:
         )
         x = data.draw(arrays(np.float64, n, elements=entries))
         d = data.draw(arrays(np.float64, n, elements=entries).filter(np.count_nonzero))
-        p = NonlinearProblem("identity", n, lambda v: v, lambda v: np.eye(n), x)
+        p = NonlinearProblem(lambda v: v, lambda v: np.eye(n), x)
         with np.errstate(over="ignore"):
             _, _, xt, _ = armijo_backtrack(p, x, d, 1e-4, 0.5, 1, 1.0)
             assert xt.tobytes() == (x + 1.0 * d).tobytes()
 
     def test_scalar_quadratic_full_step(self):
         p = NonlinearProblem(
-            name="square",
-            dimension=1,
             residual=lambda x: np.array([x[0] ** 2]),
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             default_start=np.ones(1),
@@ -361,8 +353,6 @@ class TestArmijoBacktrack:
 
     def test_ascent_direction_flagged(self):
         p = NonlinearProblem(
-            name="square",
-            dimension=1,
             residual=lambda x: np.array([x[0] ** 2]),
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             default_start=np.ones(1),
@@ -514,8 +504,6 @@ class TestSolve:
     def test_diverged_on_overflowing_step(self, linesearch):
         # the Newton step -1e150 / 1e-200 overflows to -inf
         p = NonlinearProblem(
-            name="overflow",
-            dimension=1,
             residual=lambda x: np.array([1e150]),
             jacobian=lambda x: np.array([[1e-200]]),
             default_start=np.zeros(1),
@@ -539,8 +527,6 @@ class TestSolve:
     def test_diverged_on_overflowing_mixed_step(self, cfg):
         # one Newton step to x = 0, where the step -1e150 / 1e-200 overflows
         p = NonlinearProblem(
-            name="overflow",
-            dimension=1,
             residual=lambda x: np.array([1.0 if x[0] == 1.0 else 1e150]),
             jacobian=lambda x: np.array([[1.0 if x[0] == 1.0 else 1e-200]]),
             default_start=np.ones(1),
@@ -566,8 +552,6 @@ class TestSolve:
             return np.array([-1.0, x[1]])
 
         p = NonlinearProblem(
-            name="overflowing window",
-            dimension=2,
             residual=residual,
             jacobian=lambda x: 1e-158 * np.eye(2) if x[0] in (0.0, big) else np.eye(2),
             default_start=np.array([0.0, 1.0]),
@@ -598,8 +582,6 @@ class TestSolve:
         # next ratio eta = 1e-161 / inf is 0, so the adaptive gate r_used =
         # min(eta, r_hat) is 0, which closes it: lambda = 0, a Newton step.
         p = NonlinearProblem(
-            name="overflowed step norm",
-            dimension=1,
             residual=lambda x: np.array([-1.0 if x[0] < 1.0 else 1.0]),
             jacobian=lambda x: np.array([[1e-170 if x[0] < 1.0 else 1e161]]),
             default_start=np.zeros(1),
@@ -622,8 +604,6 @@ class TestSolve:
             return np.exp(np.exp(x))
 
         p = NonlinearProblem(
-            name="nested",
-            dimension=1,
             residual=residual,
             jacobian=lambda x: np.eye(1),
             default_start=np.full(1, 10.0),  # exp(exp(10)) overflows
@@ -635,8 +615,6 @@ class TestSolve:
 
     def test_diverged_on_non_finite_dense_jacobian(self):
         p = NonlinearProblem(
-            name="dense",
-            dimension=2,
             residual=lambda x: x - 1.0,
             jacobian=lambda x: np.array([[1.0, np.inf], [0.0, 1.0]]),
             default_start=np.zeros(2),
@@ -647,8 +625,6 @@ class TestSolve:
 
     def test_malformed_jacobian_raises(self):
         p = NonlinearProblem(
-            name="wrong shape",
-            dimension=2,
             residual=lambda x: x - 1.0,
             jacobian=lambda x: np.eye(3),
             default_start=np.zeros(2),
@@ -660,8 +636,6 @@ class TestSolve:
 
     def test_diverged_on_non_finite_tridiagonal_jacobian(self):
         p = NonlinearProblem(
-            name="tridiagonal",
-            dimension=3,
             residual=lambda x: x - 1.0,
             jacobian=lambda x: Tridiagonal(np.ones(2), [np.nan, 1.0, 1.0], np.ones(2)),
             default_start=np.zeros(3),
@@ -715,7 +689,7 @@ class TestSolve:
             calls.append(1)
             return base.residual(x)
 
-        p = NonlinearProblem("counted", 20, residual, base.jacobian, np.zeros(20))
+        p = NonlinearProblem(residual, base.jacobian, np.zeros(20))
         cfg = SolverConfig(method=method, linesearch=ArmijoConfig())
         report = solve(p, p.default_start, cfg)
         assert report.status == "converged"
@@ -738,7 +712,7 @@ class TestSolve:
         # the step -1e-3 is below half an ulp of 1e20, so x + w == x: the
         # direction is zero, no search runs, and the solve stalls
         p = NonlinearProblem(
-            "flat", 1, lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
+            lambda x: np.array([1e-3]), lambda x: np.ones((1, 1)),
             np.array([1e20]),
         )
         cfg = dataclasses.replace(cfg, linesearch=ArmijoConfig(), max_iter=5)
@@ -758,7 +732,7 @@ class TestSolve:
         # the residual stays at |f| >= 1, so the solve has not converged
         f, J = np.array(f), np.array(J)
         n = len(f)
-        p = NonlinearProblem("lin", n, lambda x: f, lambda x: J.copy(), np.zeros(n))
+        p = NonlinearProblem(lambda x: f, lambda x: J.copy(), np.zeros(n))
         report = solve(p, p.default_start, SolverConfig(method=method))
         assert report.status == "max_iter"
         assert report.iterations == 200
@@ -789,7 +763,6 @@ class TestSolve:
         p = make_singular_quadratic()
         lt, lt_inv = np.diag([2.0, 1.0]), np.diag([0.5, 1.0])
         scaled = NonlinearProblem(
-            "scaled", 2,
             lambda y: lt @ p.residual(lt_inv @ y),
             lambda y: lt @ p.jacobian(lt_inv @ y) @ lt_inv,
             lt @ p.default_start,
@@ -1000,9 +973,7 @@ class TestRecordTypes:
         assert not {"eta", "theta", "theta_lambda"} & set(rec._fields)
         assert rec.ls_ok is True
         d = SafeguardDecision(case="pass_through", lambda_value=1.0)
-        assert (d.case, d.lambda_value, d.eta, d.r_used, d.beta) == (
-            "pass_through", 1.0, None, None, None
-        )
+        assert d == ("pass_through", 1.0, None, None)
         assert bare_record(decision=d).decision is d
         # a mixing step that no safeguard ran on holds no decision; its
         # history row reads not_applied, with lambda, r_used and beta empty
@@ -1014,7 +985,7 @@ class TestRecordTypes:
         )
 
     def test_safeguard_fields_read_from_decision(self):
-        d = SafeguardDecision("ratio_exceeded", 0.25, eta=0.5, r_used=0.4, beta=0.2)
+        d = SafeguardDecision("ratio_exceeded", 0.25, r_used=0.4, beta=0.2)
         rec = bare_record(decision=d)
         assert (d.lambda_value, d.r_used, d.beta) == (0.25, 0.4, 0.2)
         assert rec.decision is d
@@ -1058,11 +1029,12 @@ class TestRecordTypes:
         # rebuilding each record by keyword must not change it, and each
         # decision solve() built must hold the decision invariant
         p = make_chandrasekhar(1.0, 10)
-        for rec in solve(p, p.default_start, cfg).records:
+        report = solve(p, p.default_start, cfg)
+        for rec, (eta, _, _) in zip(report.records, step_gains(report)):
             again = IterationRecord(**rec._asdict())
             assert all(a is b for a, b in zip(again, rec))
             if rec.decision is not None:
-                check_decision(rec.decision)
+                check_decision(rec.decision, eta)
                 # only a depth-1 mixing step is safeguarded
                 assert np.isscalar(rec.gamma)
 
@@ -1086,7 +1058,7 @@ def test_wrong_shape_residual_raises_where_returned(malform, where):
         good = where in ("loop_top", "linesearch") and len(calls) == 1
         return f if good else MALFORMED_RESIDUALS[malform](f)
 
-    p = NonlinearProblem("malformed", 2, residual, base.jacobian, np.ones(2))
+    p = NonlinearProblem(residual, base.jacobian, np.ones(2))
     cfg = {
         "start": SolverConfig(),
         "loop_top": SolverConfig(method="agna"),
@@ -1112,7 +1084,7 @@ MALFORMED_JACOBIANS = {
 @pytest.mark.parametrize("malform", MALFORMED_JACOBIANS)
 def test_wrong_shape_jacobian_raises(malform):
     jacobian = MALFORMED_JACOBIANS[malform]
-    p = NonlinearProblem("malformed", 2, lambda x: x - 1.0, jacobian, np.zeros(2))
+    p = NonlinearProblem(lambda x: x - 1.0, jacobian, np.zeros(2))
     message = f"jacobian returned shape {np.shape(jacobian(None))}, expected (2, 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
         solve(p, p.default_start, SolverConfig())
@@ -1211,10 +1183,10 @@ def test_solve_reports_a_status_and_consistent_records(case, check_decision):
     assert report.status in STATUSES
     assert report.iterations == len(report.records) <= cfg.max_iter
     assert [rec.k for rec in report.records] == list(range(report.iterations))
-    for rec in report.records:
+    for rec, (eta, _, _) in zip(report.records, step_gains(report)):
         if rec.decision is not None:
             assert 0.0 <= rec.decision.lambda_value <= 1.0
-            check_decision(rec.decision)
+            check_decision(rec.decision, eta)
 
 
 @pytest.mark.parametrize("order", ["C", "F-read-only"])
@@ -1227,8 +1199,6 @@ def test_cached_jacobian_is_left_unchanged(order):
     J0 = J.copy(order="K")
     target = np.linspace(-1.0, 1.0, 6)
     p = NonlinearProblem(  # chord-like: every jacobian call returns the one J
-        name="cached jacobian",
-        dimension=6,
         residual=lambda x: J @ (x - target) + 0.1 * (x - target) ** 3,
         jacobian=lambda x: J,
         default_start=np.zeros(6),
