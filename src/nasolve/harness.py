@@ -161,7 +161,7 @@ def config_label(cfg):
         base = f"gna_r{cfg.r:g}"
     else:
         base = f"agna_rhat{cfg.r_hat:g}"
-    if cfg.method in ("gna", "agna") and cfg.activation == "asymptotic":
+    if cfg.activation == "asymptotic":
         base += f"_asym{cfg.threshold:g}"
     if cfg.linesearch is not None:
         base += "_ls"
@@ -198,22 +198,9 @@ def history_rows(report):
             case = None if rec.gamma is None else "not_applied"
         else:
             lam, r_used, beta, case = d.lambda_value, d.r_used, d.beta, d.case
-        rows.append(
-            {
-                "k": rec.k,
-                "residual_norm": _finite(rec.residual_norm),
-                "step_norm": _finite(rec.step_norm),
-                "gamma": gamma,
-                "lambda": _finite(lam),
-                "eta": _finite(eta),
-                "r_used": _finite(r_used),
-                "beta": _finite(beta),
-                "theta": _finite(theta),
-                "theta_lambda": _finite(theta_lam),
-                "decision": case,
-                "q": q,
-            }
-        )
+        values = (rec.k, _finite(rec.residual_norm), _finite(rec.step_norm), gamma,
+                  *map(_finite, (lam, eta, r_used, beta, theta, theta_lam)), case, q)
+        rows.append(dict(zip(CSV_COLUMNS, values, strict=True)))
     return rows
 
 
@@ -283,6 +270,26 @@ def _cell_reports(spec):
             yield i, value, j, cfg, report
 
 
+def _experiment_files(spec):
+    """What an experiment writes, solving its cells lazily and in order.
+
+    Yields ``(file name, bytes, status)`` for each cell's history, then the
+    summary's ``(name, bytes, None)``.  The sweep index is zero-padded to the
+    grid's width, at least 3 digits, so sorted names follow cell order.
+    """
+    fmt = spec.fmt
+    points = 1 if spec.sweep is None else _sweep_points(spec.sweep)
+    width = max(3, len(str(points - 1)))
+    summary = []
+    for i, value, j, cfg, report in _cell_reports(spec):
+        label = config_label(cfg)
+        row = (value, label, report.status, report.iterations, _finite(report.q_term))
+        summary.append(dict(zip(SUMMARY_COLUMNS, row, strict=True)))
+        name = f"history_p{i:0{width}d}_c{j}_{label}.{fmt}"
+        yield name, emit_history(report, fmt), report.status
+    yield f"summary.{fmt}", _table(summary, SUMMARY_COLUMNS, fmt), None
+
+
 def run_experiment(spec):
     """Run every (sweep value x config) cell of an experiment.
 
@@ -302,29 +309,13 @@ def run_experiment(spec):
         initial_iterate(problem, spec.x0)
     outdir = Path(spec.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    ext = spec.fmt
-
-    written = []
-    summary = []
-    for i, value, j, cfg, report in _cell_reports(spec):
-        label = config_label(cfg)
-        path = outdir / f"history_p{i:03d}_c{j}_{label}.{ext}"
-        path.write_bytes(emit_history(report, ext))
+    written, statuses = [], set()
+    for name, data, status in _experiment_files(spec):
+        path = outdir / name
+        path.write_bytes(data)
         written.append(path)
-        summary.append(
-            {
-                "param": value,
-                "config": label,
-                "status": report.status,
-                "iterations": report.iterations,
-                "q_term": _finite(report.q_term),
-            }
-        )
-    summary_path = outdir / f"summary.{ext}"
-    summary_path.write_bytes(_table(summary, SUMMARY_COLUMNS, ext))
-    written.append(summary_path)
-    all_failed = all(row["status"] != "converged" for row in summary)
-    return (2 if all_failed else 0), written
+        statuses.add(status)
+    return (0 if "converged" in statuses else 2), written
 
 
 def fold_sweep(n, lam_start, lam_end, lam_step):
@@ -386,7 +377,7 @@ def _configs_from_args(args):
             m=args.m if method == "na" else 1,
             r=args.r,
             r_hat=args.rhat,
-            activation=args.activation,
+            activation=args.activation if method in ("gna", "agna") else "always",
             threshold=args.threshold,
             switch_to_m1_at=args.switch_to_m1_at if method == "na" else None,
             tol=args.tol,

@@ -96,7 +96,10 @@ class SolverConfig:
     safeguards from then on.  ``switch_to_m1_at`` applies
     to method ``na`` only: NA(m) runs until the step norm drops below the
     given value, after which the solve continues as adaptively safeguarded
-    depth-1 Newton-Anderson with parameter ``r_hat``.
+    depth-1 Newton-Anderson with parameter ``r_hat``.  A setting that its
+    method would ignore raises ``ValueError``: ``m != 1`` or
+    ``switch_to_m1_at`` unless the method is na, ``activation="asymptotic"``
+    unless it is gna or agna.
     """
 
     method: str = "newton"
@@ -115,8 +118,8 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         _check_count("depth m", self.m)
-        if self.method in ("gna", "agna") and self.m != 1:
-            raise ValueError("safeguarding is only defined for depth m = 1")
+        if self.method != "na" and self.m != 1:
+            raise ValueError(f"method {self.method!r} runs at depth m = 1 only")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
         if not 0.0 < self.r_hat < 1.0:
@@ -125,6 +128,8 @@ class SolverConfig:
             raise ValueError(
                 f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}"
             )
+        if self.activation == "asymptotic" and self.method not in ("gna", "agna"):
+            raise ValueError("activation 'asymptotic' applies to gna and agna only")
         if not self.threshold > 0.0:
             raise ValueError("activation threshold must be positive")
         if self.switch_to_m1_at is not None:

@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nasolve import (
     ConvergenceReport,
     IterationRecord,
     SolverConfig,
+    harness,
     make_chandrasekhar,
     make_singular_quadratic,
     solve,
@@ -17,6 +20,7 @@ from nasolve import (
 )
 from nasolve.harness import (
     CSV_COLUMNS,
+    SUMMARY_COLUMNS,
     ExperimentSpec,
     config_label,
     emit_history,
@@ -249,6 +253,26 @@ class TestRunExperiment:
         assert hist.read_bytes() == history
         assert summary.read_text().splitlines()[1].strip() == summary_row
 
+    @pytest.mark.parametrize(
+        "end, first, last",
+        [(0.999, "p000", "p999"), (1.0, "p0000", "p1000")],
+        ids=["1000-points", "1001-points"],
+    )
+    def test_sorted_names_follow_cell_order(self, end, first, last, tmp_path):
+        # the point index is padded to the grid's width, at least 3 digits
+        spec = ExperimentSpec(
+            problem="bratu1d",
+            params={"n": 3},
+            sweep=("lambda", 0.0, end, 0.001),
+            output=str(tmp_path),
+        )
+        code, files = run_experiment(spec)
+        names = [path.name for path in files[:-1]]
+        assert code == 0
+        assert names == sorted(names)
+        assert names[0] == f"history_{first}_c0_newton.csv"
+        assert names[-1] == f"history_{last}_c0_newton.csv"
+
     def test_determinism_byte_identical(self, tmp_path):
         def make(outdir):
             return ExperimentSpec(
@@ -374,6 +398,27 @@ class TestRunExperiment:
         assert fold_sweep(30, 3.3, 3.7, 0.05) == expected
 
 
+def test_no_column_name_is_restated():
+    # a history or summary column is named only in CSV_COLUMNS/SUMMARY_COLUMNS:
+    # no dict display keys a row by it and no subscript reads it back
+    columns = set(CSV_COLUMNS) | set(SUMMARY_COLUMNS)
+    path = Path(harness.__file__)
+    restated = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        else:
+            continue
+        restated += [
+            (key.lineno, key.value)
+            for key in keys
+            if isinstance(key, ast.Constant) and key.value in columns
+        ]
+    assert restated == []
+
+
 class TestConfigLabel:
     def test_labels_distinguish_methods(self):
         labels = {
@@ -439,6 +484,22 @@ class TestCli:
             )
             for path in solved:
                 assert path.read_bytes() == (tmp_path / command / path.name).read_bytes()
+
+    def test_method_settings_reach_only_their_method(self, tmp_path):
+        # --m reaches na and --activation gna/agna only, so one command line
+        # mixes them; SolverConfig would reject either setting elsewhere
+        rc = main([
+            "solve", "--problem", "chandrasekhar", "--param", "n=10",
+            "--method", "newton", "--method", "na", "--method", "agna",
+            "--m", "3", "--activation", "asymptotic", "--output", str(tmp_path),
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "history_p000_c0_newton.csv",
+            "history_p000_c1_na_m3.csv",
+            "history_p000_c2_agna_rhat0.5_asym0.1.csv",
+            "summary.csv",
+        ]
 
     def test_usage_error_exit_code(self):
         assert main(["solve", "--problem", "unknown"]) == 1

@@ -382,6 +382,9 @@ class TestSolverConfigValidation:
             {"tol": 0.0},
             {"max_iter": 0},
             {"divergence_cap": 0.0},
+            {"method": "newton", "m": 3},  # m is na's depth
+            {"activation": "asymptotic"},  # only gna/agna activate a safeguard
+            {"method": "na", "m": 3, "activation": "asymptotic", "threshold": 1e-2},
         ],
     )
     def test_rejects(self, kwargs):
